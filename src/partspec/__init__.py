@@ -49,10 +49,8 @@ from .retrieval import (
     RetrievedContext,
     embed_text,
     ingest_records,
-    search_top_k,
 )
 from .synthesis import (
-    QuorumNotMet,
     ResolvedField,
     SynthesizedSpec,
     field_confidence,
@@ -85,8 +83,6 @@ __all__ = [
     "FlatIndex",
     "ingest_records",
     "embed_text",
-    "search_top_k",
-    "QuorumNotMet",
     "ResolvedField",
     "SynthesizedSpec",
     "field_confidence",

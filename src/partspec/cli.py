@@ -24,12 +24,11 @@ from pathlib import Path
 from typing import Any, TextIO
 
 from .core import PartDescription, SpecSchema
-from .metrics import GroundTruthManifest, MetricError, evaluate_run, load_runs_dir
-from .orchestrator import ConfigError, EnsembleConfig, PipelineResult, run_pipeline
+from .metrics import GroundTruthManifest, evaluate_run, load_runs_dir
+from .orchestrator import EnsembleConfig, PipelineResult, run_pipeline
 from .retrieval import (
     DEFAULT_DIMENSION,
     FlatIndex,
-    FormatError,
     HashTrigramEmbedder,
     ingest_records,
 )
@@ -38,10 +37,10 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
+# Bad input of any kind is a usage error; ConfigError, FormatError and
+# MetricError are ValueErrors too.
 _USAGE_ERRORS = (
-    ConfigError,
-    FormatError,
-    MetricError,
+    ValueError,
     FileNotFoundError,
     IsADirectoryError,
     NotADirectoryError,
@@ -172,14 +171,10 @@ def _cmd_extract(
     env: Mapping[str, str],
     stdin: TextIO,
 ) -> int:
-    try:
-        config = EnsembleConfig.from_file(args.config)
-        schema = SpecSchema.from_file(args.schema) if args.schema else SpecSchema.default()
-        index = FlatIndex.load(args.index)
-        descriptions = _read_descriptions(args.input, stdin)
-    except ValueError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    config = EnsembleConfig.from_file(args.config)
+    schema = SpecSchema.from_file(args.schema) if args.schema else SpecSchema.default()
+    index = FlatIndex.load(args.index)
+    descriptions = _read_descriptions(args.input, stdin)
 
     results: list[PipelineResult] = []
     for description in descriptions:

@@ -21,7 +21,6 @@ __all__ = [
     "FIELD_KINDS",
     "PHASE_EXTRACTION",
     "PHASE_RESEARCH",
-    "DEFAULT_UNIT_TABLE",
     "MISSING_FIELD",
     "KIND_MISMATCH",
     "PartDescription",
@@ -30,7 +29,6 @@ __all__ = [
     "ValidationIssue",
     "Failure",
     "ExtractionResult",
-    "build_unit_table",
     "canonicalize_value",
     "canonicalize_field_name",
     "render_nested_value",
@@ -55,46 +53,14 @@ _WS_RUN = re.compile(r"\s+")
 _NAME_SEPARATORS = re.compile(r"[\s\-]")
 _NAME_STRIP = re.compile(r"[^a-z0-9_]")
 
-# Built-in unit token table. Keys are matched against whitespace-delimited
-# tokens after case folding; values must be fixed points of the table so
-# canonicalization stays idempotent. Extend via build_unit_table().
-DEFAULT_UNIT_TABLE: Mapping[str, str] = {
-    "mm": "mm",
-    "in": "in",
-    "v": "v",
-    "a": "a",
-    "kg": "kg",
-    "psi": "psi",
-}
-
-
-def build_unit_table(extra: Mapping[str, str]) -> Mapping[str, str]:
-    """Merge extra unit mappings into the built-in table.
-
-    Keys are case-folded. Every value must map to itself (directly or by
-    absence), otherwise canonicalization would not be idempotent.
-    """
-    table = dict(DEFAULT_UNIT_TABLE)
-    for key, value in extra.items():
-        table[key.casefold()] = value
-    for value in table.values():
-        if table.get(value, value) != value:
-            raise ValueError(f"unit table is not idempotent: {value!r} -> {table[value]!r}")
-    return table
-
-
-def canonicalize_value(raw: str, unit_table: Mapping[str, str] | None = None) -> str:
+def canonicalize_value(raw: str) -> str:
     """Lexically canonicalize a field value.
 
-    Trims, collapses whitespace runs, case-folds, and normalizes unit tokens
-    through the (built-in or supplied) unit table. Idempotent; no unit
+    Trims, collapses whitespace runs to one space, and case-folds, so unit
+    tokens such as "MM" and "mm" compare equal. Idempotent; no unit
     conversion is attempted.
     """
-    table = DEFAULT_UNIT_TABLE if unit_table is None else unit_table
-    folded = _WS_RUN.sub(" ", raw.strip()).casefold()
-    if not folded:
-        return ""
-    return " ".join(table.get(token, token) for token in folded.split(" "))
+    return _WS_RUN.sub(" ", raw.strip()).casefold()
 
 
 def canonicalize_field_name(raw: str) -> str:

@@ -1,8 +1,9 @@
 """Uniform access to model providers: live HTTP endpoints and replay fixtures.
 
 Every call goes through `invoke`, which owns the retry policy and returns a
-response or a typed failure instead of raising. Credentials are only ever
-read from the environment via the variable named in the provider config.
+response or a typed failure instead of raising; `call_structured` turns any
+call's outcome into an extraction result. Credentials are only ever read from
+the environment via the variable named in the provider config.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ __all__ = [
     "invoke",
     "extract_first_json_object",
     "parse_structured_output",
-    "failure_to_result",
+    "call_structured",
 ]
 
 KIND_HTTP = "http_openai_compatible"
@@ -109,7 +110,6 @@ class ProviderConfig:
 class PromptRequest:
     system_text: str
     user_text: str
-    response_schema: SpecSchema | None = None
     temperature: float = 0.0
 
     def __post_init__(self) -> None:
@@ -324,31 +324,52 @@ def parse_structured_output(
 ) -> ExtractionResult:
     """Turn raw model text into a validated extraction result.
 
-    Output with no decodable JSON object becomes a parse_error failure; the
-    raw text is preserved either way for audit.
+    Output with no decodable JSON object, or nested too deeply to walk,
+    becomes a parse_error failure; the raw text is preserved either way for
+    audit.
     """
-    document = extract_first_json_object(response.raw_text)
-    if document is None:
-        return ExtractionResult(
-            model_id=response.model_id,
-            phase=phase,
-            claims=(),
-            schema_valid=False,
-            raw_output=response.raw_text,
-            failure=Failure("parse_error", "no JSON object found in model output"),
-        )
-    return validate_spec_document(
-        document, schema, response.model_id, phase, raw_output=response.raw_text
-    )
-
-
-def failure_to_result(failure: ProviderFailure, phase: str) -> ExtractionResult:
-    """Record a provider failure as an empty, invalid extraction result."""
+    try:
+        document = extract_first_json_object(response.raw_text)
+        if document is not None:
+            return validate_spec_document(
+                document, schema, response.model_id, phase, raw_output=response.raw_text
+            )
+        detail = "no JSON object found in model output"
+    except RecursionError:
+        detail = "model output nests too deeply to parse"
     return ExtractionResult(
-        model_id=failure.model_id,
+        model_id=response.model_id,
         phase=phase,
         claims=(),
         schema_valid=False,
-        raw_output="",
-        failure=Failure(failure.kind, failure.detail),
+        raw_output=response.raw_text,
+        failure=Failure("parse_error", detail),
+    )
+
+
+def call_structured(
+    provider: ProviderConfig,
+    request: PromptRequest,
+    schema: SpecSchema,
+    phase: str,
+    *,
+    invoke_fn: Callable[..., Any],
+    env: Mapping[str, str] | None = None,
+) -> ExtractionResult:
+    """Call one provider and record the outcome as an extraction result.
+
+    Never raises: a response is parsed and validated, a ProviderFailure keeps
+    its kind and detail, and an exception from anywhere in the call becomes a
+    transport failure. Failed results carry no claims and are schema-invalid.
+    """
+    try:
+        outcome = invoke_fn(provider, request, env=env)
+        if isinstance(outcome, ProviderResponse):
+            return parse_structured_output(outcome, schema, phase)
+        failure = Failure(outcome.kind, outcome.detail)
+    except Exception as exc:  # noqa: BLE001 - one bad provider must not sink the phase
+        logger.warning("provider %s raised %s", provider.model_id, exc, exc_info=True)
+        failure = Failure(FAIL_TRANSPORT, f"unhandled provider error: {exc}")
+    return ExtractionResult(
+        model_id=provider.model_id, phase=phase, claims=(), schema_valid=False, failure=failure
     )

@@ -166,7 +166,10 @@ class GroundTruthManifest:
 
     @classmethod
     def from_file(cls, path: str | Path) -> GroundTruthManifest:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise MetricError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(data, Mapping):
             raise MetricError(f"{path}: manifest must be a JSON object")
         return cls.from_dict(data)
@@ -226,7 +229,14 @@ def load_system_run(path: str | Path) -> SystemRun:
     if not isinstance(data, Mapping) or "system_id" not in data:
         raise MetricError(f"{path}: run file must be an object with a system_id")
     descriptions: list[DescriptionRun] = []
-    for raw in data.get("descriptions", ()):
+    for position, raw in enumerate(data.get("descriptions", ())):
+        where = f"{path}: description {position}"
+        if not isinstance(raw, Mapping) or "description_id" not in raw:
+            raise MetricError(f"{where} must be an object with a description_id")
+        try:
+            outputs = tuple(ExtractionResult.from_dict(o) for o in raw.get("outputs", ()))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MetricError(f"{where}: unreadable output ({type(exc).__name__}: {exc})") from None
         final = raw.get("final")
         final_fields: tuple[str, ...] | None = None
         if final is not None:
@@ -235,7 +245,7 @@ def load_system_run(path: str | Path) -> SystemRun:
         descriptions.append(
             DescriptionRun(
                 description_id=raw["description_id"],
-                outputs=tuple(ExtractionResult.from_dict(o) for o in raw.get("outputs", ())),
+                outputs=outputs,
                 final_fields=final_fields,
             )
         )

@@ -15,6 +15,7 @@ import time
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -22,7 +23,6 @@ from .core import (
     PHASE_EXTRACTION,
     PHASE_RESEARCH,
     ExtractionResult,
-    Failure,
     PartDescription,
     SpecSchema,
 )
@@ -32,12 +32,10 @@ from .gateway import (
     ROLE_SYNTHESIS,
     PromptRequest,
     ProviderConfig,
-    ProviderResponse,
-    failure_to_result,
+    call_structured,
     invoke,
-    parse_structured_output,
 )
-from .retrieval import FlatIndex, RetrievedContext, search_top_k
+from .retrieval import FlatIndex, RetrievedContext
 from .synthesis import (
     DEFAULT_CONFIDENCE_WEIGHTS,
     SynthesizedSpec,
@@ -324,7 +322,6 @@ def build_prompt(
     return PromptRequest(
         system_text=schema_instruction_text(schema),
         user_text="\n\n".join(blocks),
-        response_schema=schema,
     )
 
 
@@ -337,25 +334,11 @@ def _fan_out(
     env: Mapping[str, str] | None,
 ) -> list[ExtractionResult]:
     """Call every provider concurrently; results come back in roster order."""
-
-    def call(provider: ProviderConfig) -> ExtractionResult:
-        try:
-            outcome = invoke_fn(provider, request, env=env)
-            if isinstance(outcome, ProviderResponse):
-                return parse_structured_output(outcome, schema, phase)
-            return failure_to_result(outcome, phase)
-        except Exception as exc:  # noqa: BLE001 - one bad provider must not sink the phase
-            logger.warning("provider %s raised %s", provider.model_id, exc)
-            return ExtractionResult(
-                model_id=provider.model_id,
-                phase=phase,
-                claims=(),
-                schema_valid=False,
-                failure=Failure("transport", f"unhandled provider error: {exc}"),
-            )
-
     if not providers:
         return []
+    call = partial(
+        call_structured, request=request, schema=schema, phase=phase, invoke_fn=invoke_fn, env=env
+    )
     with ThreadPoolExecutor(max_workers=len(providers)) as pool:
         return list(pool.map(call, providers))
 
@@ -370,7 +353,7 @@ def extract_phase(
     env: Mapping[str, str] | None = None,
 ) -> tuple[list[ExtractionResult], RetrievedContext]:
     """Phase 1: one grounded prompt to every extraction provider, in parallel."""
-    context = search_top_k(index, description.text, config.k, config.threshold)
+    context = index.search(description.text, config.k, config.threshold)
     request = build_prompt(description, context, schema, (), PHASE_EXTRACTION)
     results = _fan_out(
         config.extraction_providers(), request, schema, PHASE_EXTRACTION, invoke_fn, env
@@ -418,7 +401,7 @@ def research_phase(
 ) -> tuple[list[ExtractionResult], RetrievedContext]:
     """Phase 2: re-retrieve with the gap fields appended and ask researchers."""
     query = description.text + " " + " ".join(gaps)
-    context = search_top_k(index, query, config.k, config.threshold)
+    context = index.search(query, config.k, config.threshold)
     request = build_prompt(description, context, schema, tuple(gaps), PHASE_RESEARCH)
     results = _fan_out(
         config.research_providers(), request, schema, PHASE_RESEARCH, invoke_fn, env

@@ -11,7 +11,6 @@ import csv
 import json
 import logging
 import struct
-import time
 import zlib
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -24,26 +23,19 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "DEFAULT_DIMENSION",
-    "DEFAULT_K",
-    "DEFAULT_THRESHOLD",
-    "EmbedderUnavailable",
     "FormatError",
     "PartRecord",
     "Hit",
     "RetrievedContext",
     "Embedder",
     "HashTrigramEmbedder",
-    "HttpEmbedder",
     "FlatIndex",
     "flatten_record",
     "ingest_records",
     "embed_text",
-    "search_top_k",
 ]
 
 DEFAULT_DIMENSION = 384
-DEFAULT_K = 5
-DEFAULT_THRESHOLD = 0.25
 
 INDEX_MAGIC = b"SFIX"
 INDEX_VERSION = 1
@@ -59,10 +51,6 @@ class FormatError(ValueError):
         super().__init__(f"{location}: {reason}")
         self.location = location
         self.reason = reason
-
-
-class EmbedderUnavailable(RuntimeError):
-    """A remote embedder kept failing after its retry budget."""
 
 
 @dataclass(frozen=True)
@@ -260,74 +248,6 @@ class HashTrigramEmbedder:
         return {"kind": "hash_trigram", "dimension": self.dimension}
 
 
-@dataclass(frozen=True)
-class HttpEmbedder:
-    """Remote embedder speaking the common embeddings POST shape.
-
-    Sends {"model": ..., "input": [text]} and reads data[0].embedding from
-    the response. Transient failures are retried with exponential backoff;
-    running out of attempts raises EmbedderUnavailable.
-    """
-
-    endpoint: str
-    dimension: int = DEFAULT_DIMENSION
-    model: str = ""
-    credentials_env: str | None = None
-    timeout: float = 30.0
-    max_retries: int = 2
-
-    def embed(self, text: str, sleep=time.sleep, env: Mapping[str, str] | None = None) -> np.ndarray:
-        import os
-
-        import requests
-
-        environ = os.environ if env is None else env
-        headers = {}
-        if self.credentials_env:
-            key = environ.get(self.credentials_env)
-            if not key:
-                raise EmbedderUnavailable(
-                    f"credentials variable {self.credentials_env!r} is not set"
-                )
-            headers["Authorization"] = f"Bearer {key}"
-        payload: dict[str, Any] = {"input": [text]}
-        if self.model:
-            payload["model"] = self.model
-
-        delay = 0.5
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                sleep(delay)
-                delay *= 2.0
-            try:
-                response = requests.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
-                )
-                response.raise_for_status()
-                vector = response.json()["data"][0]["embedding"]
-                array = np.asarray(vector, dtype=np.float32)
-                if array.shape != (self.dimension,):
-                    raise EmbedderUnavailable(
-                        f"embedder returned dimension {array.shape}, expected {self.dimension}"
-                    )
-                return array
-            except EmbedderUnavailable:
-                raise
-            except Exception as exc:  # noqa: BLE001 - every transport error is retryable here
-                last_error = exc
-        raise EmbedderUnavailable(f"embedder failed after {self.max_retries + 1} attempts: {last_error}")
-
-    def spec(self) -> dict[str, Any]:
-        return {
-            "kind": "http",
-            "endpoint": self.endpoint,
-            "dimension": self.dimension,
-            "model": self.model,
-            "credentials_env": self.credentials_env,
-        }
-
-
 def embed_text(text: str, embedder: Embedder) -> np.ndarray:
     """Embed text into a unit-norm float32 vector of the embedder's dimension."""
     vector = np.asarray(embedder.embed(text), dtype=np.float64)
@@ -487,16 +407,5 @@ def _embedder_from_spec(spec: Mapping[str, Any] | None, dimension: int) -> Embed
     kind = spec.get("kind")
     if kind == "hash_trigram":
         return HashTrigramEmbedder(int(spec.get("dimension", dimension)))
-    if kind == "http":
-        return HttpEmbedder(
-            endpoint=spec["endpoint"],
-            dimension=int(spec.get("dimension", dimension)),
-            model=spec.get("model", ""),
-            credentials_env=spec.get("credentials_env"),
-        )
     raise ValueError(f"manifest names unknown embedder kind {kind!r}; pass one explicitly")
 
-
-def search_top_k(index: FlatIndex, query_text: str, k: int, threshold: float) -> RetrievedContext:
-    """Exact top-k cosine search over a frozen index."""
-    return index.search(query_text, k, threshold)

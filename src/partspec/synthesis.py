@@ -23,7 +23,7 @@ from .core import (
     SpecSchema,
     canonicalize_value,
 )
-from .gateway import PromptRequest, ProviderResponse
+from .gateway import PromptRequest
 from .retrieval import RetrievedContext
 
 if TYPE_CHECKING:
@@ -37,7 +37,6 @@ __all__ = [
     "TIE_MEAN_CONFIDENCE",
     "TIE_RAG",
     "TIE_MODEL_ORDER",
-    "QuorumNotMet",
     "ResolvedField",
     "SynthesizedSpec",
     "field_confidence",
@@ -53,15 +52,6 @@ TIE_NONE = "none"
 TIE_MEAN_CONFIDENCE = "mean_confidence"
 TIE_RAG = "rag"
 TIE_MODEL_ORDER = "model_order"
-
-
-class QuorumNotMet(RuntimeError):
-    """Fewer schema-valid extraction results than the configured minimum."""
-
-    def __init__(self, successes: int, min_quorum: int) -> None:
-        super().__init__(f"{successes} schema-valid results, need {min_quorum}")
-        self.successes = successes
-        self.min_quorum = min_quorum
 
 
 @dataclass(frozen=True)
@@ -263,15 +253,12 @@ def synthesize_spec(
     """Merge per-model results into one spec and run the consistency pass.
 
     Claims from every supplied result (valid or not) feed consensus; the
-    quorum check counts only schema-valid results. The consistency pass asks
-    the configured synthesis model to review the draft: a schema-valid reply
-    replaces drafted values (grounding and confidence are recomputed), any
-    failure leaves the draft standing, and provenance records which happened.
+    caller decides whether enough results were schema-valid to get here. The
+    consistency pass asks the configured synthesis model to review the draft:
+    a schema-valid reply replaces drafted values (grounding and confidence are
+    recomputed), any failure leaves the draft standing, and provenance records
+    which happened.
     """
-    valid_count = sum(1 for result in results if result.schema_valid)
-    if valid_count < config.min_quorum:
-        raise QuorumNotMet(valid_count, config.min_quorum)
-
     by_field: dict[str, list[FieldClaim]] = {}
     for result in results:
         for claim in result.claims:
@@ -328,17 +315,13 @@ def _consistency_pass(
         system_text=schema_instruction_text(schema)
         + "\nReview the draft for internal consistency and return the corrected full object.",
         user_text="DRAFT SPECIFICATION:\n" + "\n".join(draft_lines),
-        response_schema=schema,
     )
-    outcome = invoke_fn(provider, request, env=env)
-    if not isinstance(outcome, ProviderResponse):
-        kind = getattr(outcome, "kind", "error")
-        logger.warning("consistency pass failed (%s); keeping draft", kind)
-        return resolved, f"fallback: {kind}"
-    checked = gateway.parse_structured_output(outcome, schema, PHASE_RESEARCH)
+    checked = gateway.call_structured(
+        provider, request, schema, PHASE_RESEARCH, invoke_fn=invoke_fn, env=env
+    )
     if not checked.schema_valid:
         reason = checked.failure.kind if checked.failure else "invalid_output"
-        logger.warning("consistency pass output rejected (%s); keeping draft", reason)
+        logger.warning("consistency pass fell back (%s); keeping draft", reason)
         return resolved, f"fallback: {reason}"
 
     weights = config.confidence_weights

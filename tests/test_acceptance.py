@@ -43,7 +43,6 @@ from partspec.retrieval import (
     PartRecord,
     RetrievedContext,
     embed_text,
-    search_top_k,
 )
 from partspec.synthesis import (
     DEFAULT_CONFIDENCE_WEIGHTS,
@@ -198,11 +197,11 @@ def test_criterion_3_retrieval_exactness(capfd):
                 for threshold in (-1.0, 0.0, 0.25, 0.9):
                     got = [
                         (hit.record_id, hit.similarity)
-                        for hit in search_top_k(index, query, k, threshold).hits
+                        for hit in index.search(query, k, threshold).hits
                     ]
                     assert got == _scan_oracle(index, query, k, threshold)
         for record in rng.sample(records, 25):
-            top = search_top_k(index, record.flat_text, 1, -1.0).hits
+            top = index.search(record.flat_text, 1, -1.0).hits
             assert top[0].record_id == record.record_id
             assert abs(top[0].similarity - 1.0) <= SELF_SIMILARITY_TOL
         elapsed = time.perf_counter() - started
@@ -241,8 +240,8 @@ def test_criterion_4_persistence(tmp_path, capfd):
         for _ in range(10):
             query = " ".join(rng.choices(_WORDS, k=4))
             assert (
-                search_top_k(built, query, 7, 0.1).hits
-                == search_top_k(reloaded, query, 7, 0.1).hits
+                built.search(query, 7, 0.1).hits
+                == reloaded.search(query, 7, 0.1).hits
             )
 
 

@@ -199,6 +199,16 @@ class TestExtract:
         assert outcome.stdout == golden.read_text(encoding="utf-8")
 
 
+# Malformed eval input -> text the error message must contain.
+_EVAL_DEFECTS = {
+    "description_not_object": "run.json: description 0",
+    "missing_description_id": "run.json: description 0",
+    "unknown_failure_key": "run.json: description 0",
+    "manifest_not_json": "manifest.json",
+    "non_integer_detail_max": "many",
+}
+
+
 class TestEval:
     @pytest.fixture()
     def runs_dir(self, corpus, tmp_path):
@@ -250,6 +260,34 @@ class TestEval:
         outcome = run_command(["eval", "--runs", str(runs_dir), "--manifest", str(partial)])
         assert outcome.exit_code == EXIT_USAGE
         assert "d001" in outcome.stderr
+
+    @pytest.mark.parametrize("defect", sorted(_EVAL_DEFECTS))
+    def test_malformed_input_is_usage_error(self, corpus, runs_dir, tmp_path, defect):
+        run_path = runs_dir / "run.json"
+        run = json.loads(run_path.read_text(encoding="utf-8"))
+        manifest = json.loads(corpus.manifest_path.read_text(encoding="utf-8"))
+        first = run["descriptions"][0]
+        if defect == "description_not_object":
+            run["descriptions"][0] = first["description_id"]
+        elif defect == "missing_description_id":
+            del first["description_id"]
+        elif defect == "unknown_failure_key":
+            first["outputs"][0].update(
+                claims=[], schema_valid=False, failure={"kind": "timeout", "reason": "slow"}
+            )
+        elif defect == "non_integer_detail_max":
+            manifest[first["description_id"]]["detail_max"] = "many"
+        run_path.write_text(json.dumps(run), encoding="utf-8")
+        manifest_path = tmp_path / "manifest.json"
+        manifest_text = "{not json" if defect == "manifest_not_json" else json.dumps(manifest)
+        manifest_path.write_text(manifest_text, encoding="utf-8")
+        outcome = run_command(
+            ["eval", "--runs", str(runs_dir), "--manifest", str(manifest_path)]
+        )
+        assert outcome.exit_code == EXIT_USAGE
+        assert outcome.stderr.startswith("error:")
+        assert _EVAL_DEFECTS[defect] in outcome.stderr
+        assert outcome.stdout == ""
 
     def test_empty_runs_dir_is_usage_error(self, corpus, tmp_path):
         empty = tmp_path / "empty"

@@ -21,7 +21,6 @@ from partspec.core import (
     PartDescription,
     SpecSchema,
     ValidationIssue,
-    build_unit_table,
     canonicalize_field_name,
     canonicalize_value,
     render_nested_value,
@@ -52,25 +51,10 @@ class TestCanonicalizeValue:
         assert canonicalize_value("2 IN") == "2 in"
         assert canonicalize_value("50.8 mm") == "50.8 mm"
 
-    def test_extended_unit_table(self):
-        table = build_unit_table({"millimetre": "mm", "millimeter": "mm"})
-        assert canonicalize_value("10 Millimetre", table) == "10 mm"
-        assert canonicalize_value("10 millimeter", table) == "10 mm"
-
-    def test_non_idempotent_table_rejected(self):
-        with pytest.raises(ValueError, match="idempotent"):
-            build_unit_table({"a": "b", "b": "c"})
-
     @given(st.text(max_size=40))
     def test_idempotent(self, raw):
         once = canonicalize_value(raw)
         assert canonicalize_value(once) == once
-
-    @given(st.text(max_size=40))
-    def test_extended_table_idempotent(self, raw):
-        table = build_unit_table({"inches": "in", "volts": "v"})
-        once = canonicalize_value(raw, table)
-        assert canonicalize_value(once, table) == once
 
 
 class TestCanonicalizeFieldName:

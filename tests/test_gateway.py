@@ -29,8 +29,8 @@ from partspec.gateway import (
     RateLimitedError,
     ReplayBackend,
     TransportError,
+    call_structured,
     extract_first_json_object,
-    failure_to_result,
     fixture_key,
     fixture_path,
     invoke,
@@ -381,9 +381,23 @@ class TestParseStructuredOutput:
         assert result.failure is not None and result.failure.kind == "parse_error"
         assert result.raw_output == response.raw_text
 
+    def test_deeply_nested_output_is_parse_error(self):
+        deep = '{"a":' * 5000 + "1" + "}" * 5000
+        response = ProviderResponse("m1", deep, 0.01, 1)
+        result = parse_structured_output(response, SpecSchema.default(), PHASE_EXTRACTION)
+        assert not result.schema_valid
+        assert result.failure is not None and result.failure.kind == "parse_error"
+        assert result.raw_output == deep
+
     def test_failure_to_result(self):
-        failure = ProviderFailure("m1", FAIL_TIMEOUT, "no reply in 5s", 1)
-        result = failure_to_result(failure, PHASE_EXTRACTION)
+        config = _replay_config("unused", model_id="m1")
+
+        def timing_out(provider, request, env=None):
+            return ProviderFailure(provider.model_id, FAIL_TIMEOUT, "no reply in 5s", 1)
+
+        result = call_structured(
+            config, REQUEST, SpecSchema.default(), PHASE_EXTRACTION, invoke_fn=timing_out
+        )
         assert not result.schema_valid
         assert result.failure is not None
         assert result.failure.kind == FAIL_TIMEOUT

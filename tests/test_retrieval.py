@@ -22,7 +22,6 @@ from partspec.retrieval import (
     embed_text,
     flatten_record,
     ingest_records,
-    search_top_k,
 )
 
 
@@ -258,7 +257,7 @@ class TestFlatIndexSearch:
     def test_snippet_is_flat_text(self):
         records = [PartRecord("r1", "hex bolt steel", "s:1")]
         index = FlatIndex.build(records, HashTrigramEmbedder(32))
-        context = search_top_k(index, "hex bolt", 1, 0.0)
+        context = index.search("hex bolt", 1, 0.0)
         assert context.hits[0].snippet == "hex bolt steel"
 
     def test_duplicate_ids_rejected(self):

@@ -29,7 +29,6 @@ from partspec.synthesis import (
     TIE_MODEL_ORDER,
     TIE_NONE,
     TIE_RAG,
-    QuorumNotMet,
     field_confidence,
     rag_alignment_indicator,
     resolve_field,
@@ -272,15 +271,6 @@ _DOC_B = {
 
 
 class TestSynthesizeSpec:
-    def test_quorum_enforced(self):
-        invalid = _result({"part_name": "Bolt"}, "alpha")
-        with pytest.raises(QuorumNotMet) as excinfo:
-            synthesize_spec(
-                [invalid], EMPTY_CONTEXT, _config(), SpecSchema.default(), invoke_fn=None
-            )
-        assert excinfo.value.successes == 0
-        assert excinfo.value.min_quorum == 1
-
     def test_skipped_pass_and_field_merge(self):
         results = [_result(_DOC_A, "alpha"), _result(_DOC_B, "bravo")]
         spec = synthesize_spec(
@@ -385,6 +375,31 @@ class TestSynthesizeSpec:
             results, EMPTY_CONTEXT, _config(), SpecSchema.default(), invoke_fn=chatty_invoke
         )
         assert spec.provenance["synthesis_pass"] == "fallback: parse_error"
+
+    def test_consistency_pass_deeply_nested_output_falls_back(self):
+        results = [_result(_DOC_A, "alpha"), _result(_DOC_B, "bravo")]
+
+        def nesting_invoke(provider, request, env=None):
+            deep = '{"a":' * 5000 + "1" + "}" * 5000
+            return ProviderResponse(provider.model_id, deep, 0.0, 1)
+
+        spec = synthesize_spec(
+            results, EMPTY_CONTEXT, _config(), SpecSchema.default(), invoke_fn=nesting_invoke
+        )
+        assert spec.provenance["synthesis_pass"] == "fallback: parse_error"
+        assert spec.fields["part_number"].value == "HB-100"
+
+    def test_consistency_pass_raising_call_falls_back(self):
+        results = [_result(_DOC_A, "alpha"), _result(_DOC_B, "bravo")]
+
+        def exploding_invoke(provider, request, env=None):
+            raise RuntimeError("wire fell out")
+
+        spec = synthesize_spec(
+            results, EMPTY_CONTEXT, _config(), SpecSchema.default(), invoke_fn=exploding_invoke
+        )
+        assert spec.provenance["synthesis_pass"] == "fallback: transport"
+        assert spec.fields["part_number"].value == "HB-100"
 
     def test_provenance_fields_cover_all(self):
         results = [_result(_DOC_A, "alpha"), _result(_DOC_B, "bravo")]
