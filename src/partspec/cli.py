@@ -237,14 +237,18 @@ def _read_descriptions(source: str, stdin: TextIO) -> list[PartDescription]:
     descriptions: list[PartDescription] = []
     if text.lstrip().startswith("["):
         data = json.loads(text)
+        seen: set[str] = set()
         for position, item in enumerate(data):
-            if not isinstance(item, Mapping) or "id" not in item or "text" not in item:
+            item_text = item.get("text") if isinstance(item, Mapping) else None
+            if not isinstance(item_text, str) or "id" not in item:
                 raise ValueError(f"input item {position} must be an object with id and text")
+            description_id = str(item["id"])
+            if description_id in seen:
+                raise ValueError(f"input item {position} repeats description id {description_id!r}")
+            seen.add(description_id)
             category = item.get("category")
             descriptions.append(
-                PartDescription(
-                    str(item["id"]), str(item["text"]), str(category) if category else None
-                )
+                PartDescription(description_id, item_text, str(category) if category else None)
             )
     else:
         stripped = (line.strip() for line in text.splitlines())

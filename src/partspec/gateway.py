@@ -11,7 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
+import re
 import time
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
@@ -66,6 +68,8 @@ FAIL_EXHAUSTED = "exhausted_retries"
 BACKOFF_BASE_S = 0.5
 BACKOFF_FACTOR = 2.0
 
+_ENV_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 
 @dataclass(frozen=True)
 class ProviderConfig:
@@ -86,12 +90,25 @@ class ProviderConfig:
     fixtures_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.model_id:
-            raise ValueError("model_id must be non-empty")
+        if not isinstance(self.model_id, str) or not self.model_id:
+            raise ValueError("model_id must be a non-empty string")
         if self.kind not in PROVIDER_KINDS:
             raise ValueError(f"unknown provider kind {self.kind!r}")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        for name in ("endpoint", "fixtures_dir"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"{name} must be a string")
+        credentials_env = self.credentials_env
+        if credentials_env is not None and not (
+            isinstance(credentials_env, str) and _ENV_NAME.fullmatch(credentials_env)
+        ):
+            # Refuse anything that is not an environment variable NAME: this is
+            # where a pasted literal API key would otherwise end up.
+            raise ValueError(
+                f"credentials_env {str(credentials_env)[:8]!r}... must name an environment "
+                "variable; never put key material in a config file"
+            )
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError("timeout must be positive and finite")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         unknown = set(self.role_tags) - ROLE_TAGS
@@ -110,13 +127,10 @@ class ProviderConfig:
 class PromptRequest:
     system_text: str
     user_text: str
-    temperature: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.user_text:
             raise ValueError("user_text must be non-empty")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -219,7 +233,7 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {key}"
         payload = {
             "model": config.model_id,
-            "temperature": request.temperature,
+            "temperature": 0.0,
             "messages": [
                 {"role": "system", "content": request.system_text},
                 {"role": "user", "content": request.user_text},

@@ -152,15 +152,20 @@ class GroundTruthManifest:
     def from_dict(cls, data: Mapping[str, Any]) -> GroundTruthManifest:
         entries: dict[str, ManifestEntry] = {}
         for description_id, raw in data.items():
+            where = f"manifest entry {description_id!r}"
+            if not isinstance(raw, Mapping) or not {"expected_fields", "detail_max"} <= set(raw):
+                raise MetricError(f"{where} must be an object with expected_fields and detail_max")
             unknown = set(raw) - {"expected_fields", "detail_max", "allowed_attributes"}
             if unknown:
-                raise MetricError(
-                    f"manifest entry {description_id!r} has unknown keys: {sorted(unknown)}"
-                )
+                raise MetricError(f"{where} has unknown keys: {sorted(unknown)}")
+            try:
+                expected_fields = frozenset(raw["expected_fields"])
+                detail_max = int(raw["detail_max"])
+                allowed_attributes = frozenset(raw.get("allowed_attributes", ()))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise MetricError(f"{where}: {exc}") from None
             entries[description_id] = ManifestEntry(
-                expected_fields=frozenset(raw["expected_fields"]),
-                detail_max=int(raw["detail_max"]),
-                allowed_attributes=frozenset(raw.get("allowed_attributes", ())),
+                expected_fields, detail_max, allowed_attributes
             )
         return cls(entries)
 
@@ -228,8 +233,11 @@ def load_system_run(path: str | Path) -> SystemRun:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, Mapping) or "system_id" not in data:
         raise MetricError(f"{path}: run file must be an object with a system_id")
+    raw_descriptions = data.get("descriptions", [])
+    if not isinstance(raw_descriptions, list):
+        raise MetricError(f"{path}: descriptions must be an array")
     descriptions: list[DescriptionRun] = []
-    for position, raw in enumerate(data.get("descriptions", ())):
+    for position, raw in enumerate(raw_descriptions):
         where = f"{path}: description {position}"
         if not isinstance(raw, Mapping) or "description_id" not in raw:
             raise MetricError(f"{where} must be an object with a description_id")
@@ -240,7 +248,9 @@ def load_system_run(path: str | Path) -> SystemRun:
         final = raw.get("final")
         final_fields: tuple[str, ...] | None = None
         if final is not None:
-            fields = final.get("fields", final) if isinstance(final, Mapping) else {}
+            fields = final.get("fields", final) if isinstance(final, Mapping) else None
+            if not isinstance(fields, Mapping):
+                raise MetricError(f"{where}: final must be a spec object or null")
             final_fields = tuple(sorted(fields))
         descriptions.append(
             DescriptionRun(

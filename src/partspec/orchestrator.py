@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import logging
-import re
+import math
 import time
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Any
@@ -57,34 +57,6 @@ __all__ = [
     "run_pipeline",
 ]
 
-DEFAULT_K = 5
-DEFAULT_THRESHOLD = 0.25
-DEFAULT_MIN_QUORUM = 2
-DEFAULT_GAP_CONFIDENCE_FLOOR = 0.6
-
-_ENV_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-_CONFIG_KEYS = {
-    "roster",
-    "synthesis_model",
-    "research_models",
-    "k",
-    "threshold",
-    "min_quorum",
-    "gap_confidence_floor",
-    "confidence_weights",
-}
-_PROVIDER_KEYS = {
-    "model_id",
-    "kind",
-    "endpoint",
-    "credentials_env",
-    "timeout",
-    "max_retries",
-    "role_tags",
-    "fixtures_dir",
-}
-
 
 class ConfigError(ValueError):
     """Invalid ensemble configuration."""
@@ -96,16 +68,17 @@ class EnsembleConfig:
 
     Credentials never live here; each provider names an environment variable
     instead. Loading rejects unknown keys outright so a secret pasted into a
-    config file fails fast instead of being silently shipped around.
+    config file fails fast instead of being silently shipped around. An empty
+    `research_models` means every research-tagged roster entry.
     """
 
     roster: tuple[ProviderConfig, ...]
     synthesis_model: str
     research_models: tuple[str, ...] = ()
-    k: int = DEFAULT_K
-    threshold: float = DEFAULT_THRESHOLD
-    min_quorum: int = DEFAULT_MIN_QUORUM
-    gap_confidence_floor: float = DEFAULT_GAP_CONFIDENCE_FLOOR
+    k: int = 5
+    threshold: float = 0.25
+    min_quorum: int = 2
+    gap_confidence_floor: float = 0.6
     confidence_weights: tuple[float, float, float] = DEFAULT_CONFIDENCE_WEIGHTS
 
     def __post_init__(self) -> None:
@@ -120,7 +93,10 @@ class EnsembleConfig:
             raise ConfigError(f"synthesis_model {self.synthesis_model!r} is not in the roster")
         if ROLE_SYNTHESIS not in synth.role_tags:
             raise ConfigError(f"synthesis_model {self.synthesis_model!r} lacks the synthesis role")
-        for model_id in self.research_models:
+        research = tuple(self.research_models) or tuple(
+            provider.model_id for provider in self.roster if ROLE_RESEARCH in provider.role_tags
+        )
+        for model_id in research:
             provider = by_id.get(model_id)
             if provider is None:
                 raise ConfigError(f"research model {model_id!r} is not in the roster")
@@ -128,6 +104,8 @@ class EnsembleConfig:
                 raise ConfigError(f"research model {model_id!r} lacks the research role")
         if self.k < 0:
             raise ConfigError("k must be >= 0")
+        if not math.isfinite(self.threshold):
+            raise ConfigError("threshold must be a finite number")
         if not 1 <= self.min_quorum <= len(self.roster):
             raise ConfigError(
                 f"min_quorum must be within [1, {len(self.roster)}], got {self.min_quorum}"
@@ -135,12 +113,12 @@ class EnsembleConfig:
         if not 0.0 <= self.gap_confidence_floor <= 1.0:
             raise ConfigError("gap_confidence_floor must be within [0, 1]")
         weights = tuple(float(w) for w in self.confidence_weights)
-        if len(weights) != 3 or any(w < 0 for w in weights):
-            raise ConfigError("confidence_weights must be three non-negative numbers")
+        if len(weights) != 3 or not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise ConfigError("confidence_weights must be three non-negative finite numbers")
         if abs(sum(weights) - 1.0) > 1e-9:
             raise ConfigError(f"confidence_weights must sum to 1, got {sum(weights)}")
         object.__setattr__(self, "confidence_weights", weights)
-        object.__setattr__(self, "research_models", tuple(self.research_models))
+        object.__setattr__(self, "research_models", research)
 
     def provider(self, model_id: str) -> ProviderConfig | None:
         for provider in self.roster:
@@ -155,10 +133,7 @@ class EnsembleConfig:
         return tuple(p for p in self.roster if ROLE_EXTRACTION in p.role_tags)
 
     def research_providers(self) -> tuple[ProviderConfig, ...]:
-        if self.research_models:
-            wanted = set(self.research_models)
-            return tuple(p for p in self.roster if p.model_id in wanted)
-        return tuple(p for p in self.roster if ROLE_RESEARCH in p.role_tags)
+        return tuple(p for p in self.roster if p.model_id in self.research_models)
 
     @classmethod
     def from_dict(
@@ -167,42 +142,27 @@ class EnsembleConfig:
         """Build from the documented JSON shape; unknown keys are errors.
 
         Relative fixtures_dir paths resolve against base_dir (normally the
-        config file's directory) so configs stay relocatable.
+        config file's directory) so configs stay relocatable. Any bad value
+        raises ConfigError.
         """
-        if not isinstance(data, Mapping):
-            raise ConfigError("config must be a JSON object")
-        unknown = set(data) - _CONFIG_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        raw_roster = data.get("roster")
-        if not isinstance(raw_roster, Sequence) or isinstance(raw_roster, (str, bytes)):
-            raise ConfigError("roster must be an array of provider objects")
-        roster = tuple(_provider_from_dict(entry, base_dir) for entry in raw_roster)
-        if "synthesis_model" not in data:
-            raise ConfigError("synthesis_model is required")
-        research = data.get("research_models")
-        if research is None:
-            research = tuple(
-                p.model_id for p in roster if ROLE_RESEARCH in p.role_tags
-            )
         try:
-            return cls(
-                roster=roster,
-                synthesis_model=str(data["synthesis_model"]),
-                research_models=tuple(str(m) for m in research),
-                k=int(data.get("k", DEFAULT_K)),
-                threshold=float(data.get("threshold", DEFAULT_THRESHOLD)),
-                min_quorum=int(data.get("min_quorum", DEFAULT_MIN_QUORUM)),
-                gap_confidence_floor=float(
-                    data.get("gap_confidence_floor", DEFAULT_GAP_CONFIDENCE_FLOOR)
-                ),
-                confidence_weights=tuple(
-                    data.get("confidence_weights", DEFAULT_CONFIDENCE_WEIGHTS)
-                ),
-            )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
+            kwargs = _json_kwargs(cls, data, "config")
+            roster = kwargs.get("roster")
+            if not isinstance(roster, (list, tuple)):
+                raise ConfigError("roster must be an array of provider objects")
+            providers = []
+            for entry in roster:
+                provider = _json_kwargs(ProviderConfig, entry, "provider")
+                fixtures_dir = provider.get("fixtures_dir")
+                if isinstance(fixtures_dir, str) and base_dir is not None:
+                    # Joining keeps an absolute fixtures_dir as it is.
+                    provider["fixtures_dir"] = str(Path(base_dir, fixtures_dir))
+                providers.append(ProviderConfig(**provider))
+            kwargs["roster"] = tuple(providers)
+            return cls(**kwargs)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
 
     @classmethod
@@ -215,40 +175,32 @@ class EnsembleConfig:
         return cls.from_dict(data, base_dir=path.parent)
 
 
-def _provider_from_dict(
-    entry: Any, base_dir: str | Path | None
-) -> ProviderConfig:
-    if not isinstance(entry, Mapping):
-        raise ConfigError("each roster entry must be an object")
-    unknown = set(entry) - _PROVIDER_KEYS
+# A JSON value for a field whose default has one of these types is converted
+# to that type: numbers to int or float, arrays to tuple or frozenset.
+_JSON_CONVERSIONS = (int, float, tuple, frozenset)
+
+
+def _json_kwargs(cls: type, data: Any, what: str) -> dict[str, Any]:
+    """Constructor arguments for config dataclass `cls` from a JSON object.
+
+    The accepted keys are the dataclass fields; absent keys keep the field
+    default, so every default and check lives on the dataclass alone.
+    """
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{what} must be a JSON object")
+    declared = {f.name: f for f in fields(cls)}
+    unknown = set(data) - set(declared)
     if unknown:
-        raise ConfigError(f"unknown provider keys: {sorted(unknown)}")
-    credentials_env = entry.get("credentials_env")
-    if credentials_env is not None and not _ENV_NAME.fullmatch(str(credentials_env)):
-        # Refuse anything that is not an environment variable NAME: this is
-        # where a pasted literal API key would otherwise end up.
-        raise ConfigError(
-            f"credentials_env {str(credentials_env)[:8]!r}... must name an environment "
-            "variable; never put key material in a config file"
-        )
-    fixtures_dir = entry.get("fixtures_dir")
-    if fixtures_dir is not None and base_dir is not None:
-        fixtures_path = Path(fixtures_dir)
-        if not fixtures_path.is_absolute():
-            fixtures_dir = str(Path(base_dir) / fixtures_path)
-    try:
-        return ProviderConfig(
-            model_id=str(entry.get("model_id", "")),
-            kind=str(entry.get("kind", "")),
-            endpoint=entry.get("endpoint"),
-            credentials_env=credentials_env,
-            timeout=float(entry.get("timeout", 60.0)),
-            max_retries=int(entry.get("max_retries", 2)),
-            role_tags=frozenset(entry.get("role_tags", (ROLE_EXTRACTION,))),
-            fixtures_dir=fixtures_dir,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    kwargs = dict(data)
+    for name, value in data.items():
+        convert = type(declared[name].default)
+        if convert in _JSON_CONVERSIONS:
+            try:
+                kwargs[name] = convert(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
+    return kwargs
 
 
 @dataclass(frozen=True)

@@ -383,15 +383,36 @@ class FlatIndex:
         if len(body) != expected:
             raise ValueError(f"{directory}: blob payload is {len(body)} bytes, expected {expected}")
         matrix = np.frombuffer(body, dtype="<f4").reshape(count, dim)
+        if not np.isfinite(matrix).all():
+            raise ValueError(f"{directory}: vector blob holds non-finite values")
 
         manifest = json.loads((directory / MANIFEST_FILENAME).read_text(encoding="utf-8"))
+        if not isinstance(manifest, Mapping):
+            raise ValueError(f"{directory}: manifest must be a JSON object")
         records = manifest.get("records", [])
+        if not isinstance(records, list):
+            raise ValueError(f"{directory}: manifest records must be an array")
         if len(records) != count:
             raise ValueError(
                 f"{directory}: manifest lists {len(records)} records, blob holds {count}"
             )
+        for position, entry in enumerate(records):
+            if not (
+                isinstance(entry, Mapping)
+                and isinstance(entry.get("record_id"), str)
+                and isinstance(entry.get("flat_text"), str)
+            ):
+                raise ValueError(
+                    f"{directory}: manifest record {position} needs a string record_id "
+                    "and flat_text"
+                )
         if embedder is None:
             embedder = _embedder_from_spec(manifest.get("embedder"), dim)
+        if embedder.dimension != dim:
+            raise ValueError(
+                f"{directory}: embedder dimension {embedder.dimension} does not match "
+                f"the index dimension {dim}"
+            )
         return cls(
             matrix,
             [entry["record_id"] for entry in records],

@@ -93,9 +93,6 @@ class SynthesizedSpec:
     rag_validation_ratio: float
     provenance: Mapping[str, Any]
 
-    def field_names(self) -> frozenset[str]:
-        return frozenset(self.fields)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "description_id": self.description_id,

@@ -152,6 +152,23 @@ class TestExtract:
         assert outcome.exit_code == EXIT_USAGE
         assert "id and text" in outcome.stderr
 
+    @pytest.mark.parametrize(
+        "item, message",
+        [({"id": "d001", "text": "M4 washer"}, "repeats description id 'd001'"),
+         ({"id": "x1", "text": None}, "id and text")],
+        ids=["duplicate_id", "null_text"],
+    )
+    def test_bad_input_item_is_usage_error(self, corpus, tmp_path, item, message):
+        items = json.loads(corpus.descriptions_path.read_text(encoding="utf-8"))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([*items, item]), encoding="utf-8")
+        outcome = run_command(
+            _extract_args(corpus)[:2] + [str(bad)] + _extract_args(corpus)[3:]
+        )
+        assert outcome.exit_code == EXIT_USAGE
+        assert message in outcome.stderr
+        assert outcome.stdout == ""
+
     def test_unknown_config_key_is_usage_error(self, corpus, tmp_path):
         data = json.loads(corpus.config_path.read_text(encoding="utf-8"))
         data["api_key"] = "sk-live-123"
@@ -206,6 +223,11 @@ _EVAL_DEFECTS = {
     "unknown_failure_key": "run.json: description 0",
     "manifest_not_json": "manifest.json",
     "non_integer_detail_max": "many",
+    "manifest_entry_not_object": "manifest entry 'd001'",
+    "missing_expected_fields": "manifest entry 'd001'",
+    "overflowing_detail_max": "manifest entry 'd001'",
+    "descriptions_not_array": "run.json: descriptions",
+    "final_not_object": "run.json: description 0: final",
 }
 
 
@@ -277,6 +299,16 @@ class TestEval:
             )
         elif defect == "non_integer_detail_max":
             manifest[first["description_id"]]["detail_max"] = "many"
+        elif defect == "manifest_entry_not_object":
+            manifest[first["description_id"]] = 5
+        elif defect == "missing_expected_fields":
+            del manifest[first["description_id"]]["expected_fields"]
+        elif defect == "overflowing_detail_max":
+            manifest[first["description_id"]]["detail_max"] = 1e400
+        elif defect == "descriptions_not_array":
+            run["descriptions"] = {d["description_id"]: d for d in run["descriptions"]}
+        elif defect == "final_not_object":
+            first["final"] = [1]
         run_path.write_text(json.dumps(run), encoding="utf-8")
         manifest_path = tmp_path / "manifest.json"
         manifest_text = "{not json" if defect == "manifest_not_json" else json.dumps(manifest)
@@ -309,6 +341,15 @@ class TestConfigCheck:
             "synthesis_model": "synth-1",
             "research_models": ["delta", "echo"],
         }
+
+    def test_empty_research_models_lists_tagged_models(self, corpus, tmp_path):
+        data = json.loads(corpus.config_path.read_text(encoding="utf-8"))
+        data["research_models"] = []
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data), encoding="utf-8")
+        outcome = run_command(["config", "check", "--config", str(config_path)])
+        assert outcome.exit_code == EXIT_OK
+        assert json.loads(outcome.stdout)["research_models"] == ["delta", "echo"]
 
     def test_embedded_secret_is_refused(self, tmp_path):
         config_path = tmp_path / "config.json"

@@ -331,6 +331,7 @@ class TestHttpBackend:
         backend = HttpBackend(_http_config(http_server), session=_Recorder())
         invoke(_http_config(http_server), REQUEST, backend=backend, sleep=lambda s: None)
         assert captured["model"] == "live-model"
+        assert captured["temperature"] == 0.0
         assert captured["messages"][0]["role"] == "system"
         assert captured["messages"][1] == {"role": "user", "content": REQUEST.user_text}
 

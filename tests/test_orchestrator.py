@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
+from dataclasses import fields
 
 import pytest
+from corpusgen import config_document
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from partspec.core import (
     PHASE_EXTRACTION,
@@ -33,6 +38,12 @@ from partspec.orchestrator import (
 from partspec.retrieval import FlatIndex, HashTrigramEmbedder, Hit, PartRecord, RetrievedContext
 
 DESCRIPTION = PartDescription("d1", "M8 hex bolt, steel, zinc plated")
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=8,
+)
 
 
 def _provider(model_id, *roles):
@@ -235,6 +246,63 @@ class TestEnsembleConfig:
         path.write_text("{", encoding="utf-8")
         with pytest.raises(ConfigError, match="invalid JSON"):
             EnsembleConfig.from_file(path)
+
+    def test_empty_research_models_mean_every_tagged_entry(self):
+        assert _config().research_models == ("bravo",)
+        assert [p.model_id for p in _config().research_providers()] == ["bravo"]
+        document = config_document()
+        document["research_models"] = []
+        assert EnsembleConfig.from_dict(document).research_models == ("delta", "echo")
+
+    @pytest.mark.parametrize(
+        "entry, key, value",
+        [
+            (0, "fixtures_dir", 5),
+            (None, "min_quorum", 1e400),
+            (0, "max_retries", 1e400),
+            (None, "confidence_weights", [math.nan, 0.5, 0.5]),
+            (None, "threshold", math.nan),
+            (None, "threshold", math.inf),
+            (0, "timeout", math.nan),
+            (0, "timeout", math.inf),
+        ],
+        ids=[
+            "fixtures_dir_not_string",
+            "overflowing_min_quorum",
+            "overflowing_max_retries",
+            "nan_confidence_weight",
+            "nan_threshold",
+            "infinite_threshold",
+            "nan_timeout",
+            "infinite_timeout",
+        ],
+    )
+    def test_bad_value_is_config_error(self, tmp_path, entry, key, value):
+        document = config_document()
+        (document if entry is None else document["roster"][entry])[key] = value
+        with pytest.raises(ConfigError, match=key):
+            EnsembleConfig.from_dict(document, base_dir=tmp_path)
+
+    def test_non_finite_numbers_rejected_when_built_directly(self):
+        with pytest.raises(ConfigError, match="threshold"):
+            _config(threshold=math.nan)
+        with pytest.raises(ConfigError, match="confidence_weights"):
+            _config(confidence_weights=(math.nan, 0.5, 0.5))
+        with pytest.raises(ValueError, match="timeout"):
+            ProviderConfig(model_id="m", kind=KIND_REPLAY, fixtures_dir="f", timeout=math.inf)
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), value=_JSON_VALUES)
+    def test_loader_raises_only_config_error(self, tmp_path, data, value):
+        document = config_document()
+        entry = data.draw(st.sampled_from([document, *document["roster"]]))
+        declared = fields(EnsembleConfig if entry is document else ProviderConfig)
+        entry[data.draw(st.sampled_from([f.name for f in declared]))] = value
+        try:
+            config = EnsembleConfig.from_dict(document, base_dir=tmp_path)
+        except ConfigError:
+            return
+        assert isinstance(config, EnsembleConfig)
 
     def test_extraction_providers_in_roster_order(self):
         config = _config()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+import re
 import struct
 
 import numpy as np
@@ -347,6 +348,36 @@ class TestPersistence:
         blob[4:8] = struct.pack("<I", 9)
         (tmp_path / "vectors.sfix").write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="version"):
+            FlatIndex.load(tmp_path)
+
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            "manifest_not_object",
+            "records_not_array",
+            "record_without_id",
+            "embedder_dimension_mismatch",
+            "non_finite_vector",
+        ],
+    )
+    def test_broken_index_rejected(self, tmp_path, defect):
+        FlatIndex.build(_corpus(2), HashTrigramEmbedder(16)).save(tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        if defect == "manifest_not_object":
+            manifest = [manifest]
+        elif defect == "records_not_array":
+            manifest["records"] = {r["record_id"]: r for r in manifest["records"]}
+        elif defect == "record_without_id":
+            del manifest["records"][0]["record_id"]
+        elif defect == "embedder_dimension_mismatch":
+            manifest["embedder"]["dimension"] = 32
+        elif defect == "non_finite_vector":
+            blob = bytearray((tmp_path / "vectors.sfix").read_bytes())
+            blob[16:20] = struct.pack("<f", float("nan"))
+            (tmp_path / "vectors.sfix").write_bytes(bytes(blob))
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(str(tmp_path))):
             FlatIndex.load(tmp_path)
 
     def test_embedder_restored_from_manifest(self, tmp_path):
