@@ -20,10 +20,12 @@ import os
 import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, TextIO
 
 from .core import PartDescription, SpecSchema
+from .gateway import invoke
 from .metrics import GroundTruthManifest, evaluate_run, load_runs_dir
 from .orchestrator import EnsembleConfig, PipelineResult, run_pipeline
 from .retrieval import (
@@ -175,10 +177,12 @@ def _cmd_extract(
     schema = SpecSchema.from_file(args.schema) if args.schema else SpecSchema.default()
     index = FlatIndex.load(args.index)
     descriptions = _read_descriptions(args.input, stdin)
+    # Credentials are read from `env` here and nowhere else in the pipeline.
+    invoke_fn = partial(invoke, env=env)
 
     results: list[PipelineResult] = []
     for description in descriptions:
-        results.append(run_pipeline(description, config, index, schema, env=env))
+        results.append(run_pipeline(description, config, index, schema, invoke_fn=invoke_fn))
 
     documents: list[dict[str, Any]] = []
     for result in results:

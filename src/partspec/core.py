@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +32,7 @@ __all__ = [
     "ExtractionResult",
     "canonicalize_value",
     "canonicalize_field_name",
+    "render_leaf_value",
     "render_nested_value",
     "validate_spec_document",
 ]
@@ -299,7 +301,13 @@ def render_nested_value(mapping: Mapping[str, Any]) -> str:
     sorted so the rendering is deterministic for any traversal order.
     """
     leaves, _issues = _nested_leaves(mapping)
-    return " | ".join(f"{path}: {value}" for path, value, _conf in sorted(leaves))
+    return _join_leaves(leaves)
+
+
+def _join_leaves(leaves: list[tuple[str, str, float | None]]) -> str:
+    # Sorted on (path, value) alone: equal pairs render the same, and their
+    # confidences (a float and None) do not compare.
+    return " | ".join(f"{path}: {value}" for path, value in sorted((p, v) for p, v, _ in leaves))
 
 
 def _nested_leaves(
@@ -313,19 +321,23 @@ def _nested_leaves(
         if not name:
             continue
         path = f"{prefix}.{name}" if prefix else name
-        wrapped = _is_envelope(value)
-        leaf, confidence, conf_issues = _unwrap(value, path, default_confidence=1.0)
+        leaf, confidence, conf_issues = _unwrap(value, path)
         issues.extend(conf_issues)
         if isinstance(leaf, Mapping):
             inner, inner_issues = _nested_leaves(leaf, path)
             leaves.extend(inner)
             issues.extend(inner_issues)
         else:
-            leaves.append((path, _stringify(leaf), confidence if wrapped else None))
+            leaves.append((path, render_leaf_value(leaf), confidence))
     return leaves, issues
 
 
-def _stringify(value: Any) -> str:
+def render_leaf_value(value: Any) -> str:
+    """Render one field value as text: the form claims and KB records share.
+
+    None is empty, booleans are lowercase, maps render as
+    `render_nested_value`, and arrays join their items with ", ".
+    """
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -333,50 +345,33 @@ def _stringify(value: Any) -> str:
     if isinstance(value, Mapping):
         return render_nested_value(value)
     if isinstance(value, (list, tuple)):
-        return ", ".join(_stringify(item) for item in value)
+        return ", ".join(render_leaf_value(item) for item in value)
     return str(value)
 
 
-def _is_envelope(value: Any) -> bool:
-    """True for a {"value": ...} or {"value": ..., "confidence": ...} wrapper."""
-    return isinstance(value, Mapping) and "value" in value and set(value) <= {"value", "confidence"}
-
-
-def _unwrap(
-    value: Any, path: str, default_confidence: float
-) -> tuple[Any, float, list[ValidationIssue]]:
+def _unwrap(value: Any, path: str) -> tuple[Any, float | None, list[ValidationIssue]]:
     """Unwrap an optional {"value": ..., "confidence": ...} envelope.
 
     A mapping is treated as an envelope only when "value" is its sole key
-    besides an optional "confidence"; anything else passes through with the
-    default confidence. Out-of-range confidences are clamped and reported
+    besides an optional "confidence"; anything else passes through with
+    confidence None. An envelope's confidence defaults to 1.0; one that is
+    not a number in [0, 1] is clamped (1.0 if not a number) and reported
     rather than rejected.
     """
-    if not _is_envelope(value):
-        return value, default_confidence, []
-    issues: list[ValidationIssue] = []
-    confidence = value.get("confidence", default_confidence)
+    is_envelope = isinstance(value, Mapping) and "value" in value
+    if not (is_envelope and set(value) <= {"value", "confidence"}):
+        return value, None, []
+    confidence = value.get("confidence", 1.0)
     if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
-        issues.append(
-            ValidationIssue(
-                KIND_MISMATCH,
-                path=f"{path}.confidence",
-                expected="number in [0, 1]",
-                found=repr(confidence),
-            )
-        )
-        confidence = default_confidence
-    elif not 0.0 <= confidence <= 1.0:
-        issues.append(
-            ValidationIssue(
-                KIND_MISMATCH,
-                path=f"{path}.confidence",
-                expected="number in [0, 1]",
-                found=repr(float(confidence)),
-            )
-        )
-        confidence = min(1.0, max(0.0, float(confidence)))
-    return value["value"], float(confidence), issues
+        found, clamped = repr(confidence), 1.0
+    elif 0.0 <= confidence <= 1.0:
+        return value["value"], float(confidence), []
+    else:
+        # An int too large to be a float is reported as written.
+        found = repr(float(confidence) if abs(confidence) <= sys.float_info.max else confidence)
+        clamped = float(min(1.0, max(0.0, confidence)))
+    issue = ValidationIssue(KIND_MISMATCH, f"{path}.confidence", "number in [0, 1]", found)
+    return value["value"], clamped, [issue]
 
 
 def _has_digit(text: str) -> bool:
@@ -414,7 +409,6 @@ def validate_spec_document(
 
     issues: list[ValidationIssue] = []
     claims: list[FieldClaim] = []
-    bad_required: set[str] = set()
 
     for key, raw_value in document.items():
         name = canonicalize_field_name(str(key))
@@ -430,7 +424,8 @@ def validate_spec_document(
             continue
         kind = schema.kind_of(name)
         in_schema = kind is not None
-        leaf, confidence, conf_issues = _unwrap(raw_value, name, default_confidence=1.0)
+        leaf, confidence, conf_issues = _unwrap(raw_value, name)
+        confidence = 1.0 if confidence is None else confidence
         issues.extend(conf_issues)
 
         if isinstance(leaf, Mapping):
@@ -440,11 +435,9 @@ def validate_spec_document(
                 issues.append(
                     ValidationIssue(KIND_MISMATCH, path=name, expected=kind, found="nested map")
                 )
-                if name in schema.required_fields:
-                    bad_required.add(name)
             leaves, leaf_issues = _nested_leaves(leaf, name)
             issues.extend(leaf_issues)
-            rendered = " | ".join(f"{path}: {value}" for path, value, _conf in sorted(leaves))
+            rendered = _join_leaves(leaves)
             claims.append(FieldClaim.make(name, rendered, confidence, model_id, phase, in_schema))
             for path, value, leaf_conf in leaves:
                 claims.append(
@@ -458,58 +451,51 @@ def validate_spec_document(
                     )
                 )
         else:
-            text = _stringify(leaf)
+            text = render_leaf_value(leaf)
             if in_schema and kind == NESTED_MAP:
                 issues.append(
                     ValidationIssue(KIND_MISMATCH, path=name, expected=kind, found=type(leaf).__name__)
                 )
-                if name in schema.required_fields:
-                    bad_required.add(name)
             elif in_schema and kind == QUANTITY_WITH_UNIT and not _has_digit(text):
                 issues.append(
                     ValidationIssue(KIND_MISMATCH, path=name, expected=kind, found=repr(text))
                 )
-                if name in schema.required_fields:
-                    bad_required.add(name)
             elif isinstance(leaf, (list, tuple)):
                 issues.append(
                     ValidationIssue(
                         KIND_MISMATCH, path=name, expected=kind or SCALAR_TEXT, found="array"
                     )
                 )
-                if name in schema.required_fields:
-                    bad_required.add(name)
             claims.append(FieldClaim.make(name, text, confidence, model_id, phase, in_schema))
 
     deduped = _collapse_duplicates(claims)
     present = {claim.field for claim in deduped}
-    missing = [name for name in schema.required_fields if name not in present]
-    for name in missing:
-        issues.append(ValidationIssue(MISSING_FIELD, path=name))
+    for name in schema.required_fields:
+        if name not in present:
+            issues.append(ValidationIssue(MISSING_FIELD, path=name))
 
-    schema_valid = not missing and not bad_required
+    # Any issue on a required field, missing or of the wrong kind, invalidates
+    # the document; issues elsewhere are only reported.
+    required = set(schema.required_fields)
     return ExtractionResult(
         model_id=model_id,
         phase=phase,
         claims=tuple(deduped),
-        schema_valid=schema_valid,
+        schema_valid=not any(issue.path in required for issue in issues),
         raw_output=raw_output,
         issues=tuple(issues),
     )
 
 
 def _collapse_duplicates(claims: list[FieldClaim]) -> list[FieldClaim]:
-    """Keep one claim per field: highest confidence, earliest on ties."""
+    """Keep one claim per field: highest confidence, earliest on ties.
+
+    Replacing a dict entry keeps its position, so fields stay in first-seen
+    document order.
+    """
     best: dict[str, FieldClaim] = {}
     for claim in claims:
         current = best.get(claim.field)
         if current is None or claim.confidence > current.confidence:
             best[claim.field] = claim
-    # Preserve first-seen document order of the surviving fields.
-    ordered: list[FieldClaim] = []
-    seen: set[str] = set()
-    for claim in claims:
-        if claim.field not in seen:
-            seen.add(claim.field)
-            ordered.append(best[claim.field])
-    return ordered
+    return list(best.values())

@@ -368,16 +368,17 @@ def call_structured(
     phase: str,
     *,
     invoke_fn: Callable[..., Any],
-    env: Mapping[str, str] | None = None,
 ) -> ExtractionResult:
     """Call one provider and record the outcome as an extraction result.
 
+    `invoke_fn(provider, request)` makes the call; `invoke` reads credentials
+    from `os.environ`, and `partial(invoke, env=...)` binds another mapping.
     Never raises: a response is parsed and validated, a ProviderFailure keeps
     its kind and detail, and an exception from anywhere in the call becomes a
     transport failure. Failed results carry no claims and are schema-invalid.
     """
     try:
-        outcome = invoke_fn(provider, request, env=env)
+        outcome = invoke_fn(provider, request)
         if isinstance(outcome, ProviderResponse):
             return parse_structured_output(outcome, schema, phase)
         failure = Failure(outcome.kind, outcome.detail)

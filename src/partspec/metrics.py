@@ -138,6 +138,14 @@ class ManifestEntry:
             raise NonpositiveDMax(f"detail_max must be positive, got {self.detail_max}")
 
 
+def _field_names(raw: Mapping[str, Any], key: str) -> frozenset[str]:
+    """An array of field names as a set; a string is not read as its letters."""
+    names = raw.get(key, ())
+    if isinstance(names, str) or not all(isinstance(name, str) for name in names):
+        raise ValueError(f"{key} must be an array of field names")
+    return frozenset(names)
+
+
 @dataclass(frozen=True)
 class GroundTruthManifest:
     entries: Mapping[str, ManifestEntry]
@@ -159,9 +167,9 @@ class GroundTruthManifest:
             if unknown:
                 raise MetricError(f"{where} has unknown keys: {sorted(unknown)}")
             try:
-                expected_fields = frozenset(raw["expected_fields"])
+                expected_fields = _field_names(raw, "expected_fields")
                 detail_max = int(raw["detail_max"])
-                allowed_attributes = frozenset(raw.get("allowed_attributes", ()))
+                allowed_attributes = _field_names(raw, "allowed_attributes")
             except (TypeError, ValueError, OverflowError) as exc:
                 raise MetricError(f"{where}: {exc}") from None
             entries[description_id] = ManifestEntry(
@@ -231,8 +239,8 @@ def load_system_run(path: str | Path) -> SystemRun:
     or null; only its field names matter for scoring).
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, Mapping) or "system_id" not in data:
-        raise MetricError(f"{path}: run file must be an object with a system_id")
+    if not isinstance(data, Mapping) or not isinstance(data.get("system_id"), str):
+        raise MetricError(f"{path}: run file must be an object with a string system_id")
     raw_descriptions = data.get("descriptions", [])
     if not isinstance(raw_descriptions, list):
         raise MetricError(f"{path}: descriptions must be an array")

@@ -283,13 +283,12 @@ def _fan_out(
     schema: SpecSchema,
     phase: str,
     invoke_fn: Callable[..., Any],
-    env: Mapping[str, str] | None,
 ) -> list[ExtractionResult]:
     """Call every provider concurrently; results come back in roster order."""
     if not providers:
         return []
     call = partial(
-        call_structured, request=request, schema=schema, phase=phase, invoke_fn=invoke_fn, env=env
+        call_structured, request=request, schema=schema, phase=phase, invoke_fn=invoke_fn
     )
     with ThreadPoolExecutor(max_workers=len(providers)) as pool:
         return list(pool.map(call, providers))
@@ -302,13 +301,12 @@ def extract_phase(
     schema: SpecSchema,
     *,
     invoke_fn: Callable[..., Any] = invoke,
-    env: Mapping[str, str] | None = None,
 ) -> tuple[list[ExtractionResult], RetrievedContext]:
     """Phase 1: one grounded prompt to every extraction provider, in parallel."""
     context = index.search(description.text, config.k, config.threshold)
     request = build_prompt(description, context, schema, (), PHASE_EXTRACTION)
     results = _fan_out(
-        config.extraction_providers(), request, schema, PHASE_EXTRACTION, invoke_fn, env
+        config.extraction_providers(), request, schema, PHASE_EXTRACTION, invoke_fn
     )
     return results, context
 
@@ -349,14 +347,13 @@ def research_phase(
     schema: SpecSchema,
     *,
     invoke_fn: Callable[..., Any] = invoke,
-    env: Mapping[str, str] | None = None,
 ) -> tuple[list[ExtractionResult], RetrievedContext]:
     """Phase 2: re-retrieve with the gap fields appended and ask researchers."""
     query = description.text + " " + " ".join(gaps)
     context = index.search(query, config.k, config.threshold)
     request = build_prompt(description, context, schema, tuple(gaps), PHASE_RESEARCH)
     results = _fan_out(
-        config.research_providers(), request, schema, PHASE_RESEARCH, invoke_fn, env
+        config.research_providers(), request, schema, PHASE_RESEARCH, invoke_fn
     )
     return results, context
 
@@ -368,7 +365,6 @@ def run_pipeline(
     schema: SpecSchema,
     *,
     invoke_fn: Callable[..., Any] = invoke,
-    env: Mapping[str, str] | None = None,
 ) -> PipelineResult:
     """Run extraction, optional research, and synthesis for one description.
 
@@ -378,7 +374,7 @@ def run_pipeline(
     """
     t0 = time.perf_counter()
     phase1, extraction_context = extract_phase(
-        description, config, index, schema, invoke_fn=invoke_fn, env=env
+        description, config, index, schema, invoke_fn=invoke_fn
     )
     t1 = time.perf_counter()
 
@@ -406,7 +402,7 @@ def run_pipeline(
     research_context: RetrievedContext | None = None
     if gaps:
         phase2, research_context = research_phase(
-            description, gaps, config, index, schema, invoke_fn=invoke_fn, env=env
+            description, gaps, config, index, schema, invoke_fn=invoke_fn
         )
     t2 = time.perf_counter()
 
@@ -417,7 +413,6 @@ def run_pipeline(
         schema,
         description_id=description.id,
         invoke_fn=invoke_fn,
-        env=env,
     )
     t3 = time.perf_counter()
     return PipelineResult(

@@ -19,6 +19,8 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
+from .core import render_leaf_value
+
 logger = logging.getLogger(__name__)
 
 __all__ = [
@@ -99,7 +101,8 @@ def flatten_record(raw_fields: Mapping[str, Any]) -> str:
     """Render a record's fields as one deterministic embedding string.
 
     Keys are sorted lexicographically after nested maps are expanded to
-    dotted paths; entries render as "key: value" joined by " | ".
+    dotted paths; entries render as "key: value" joined by " | ", each value
+    through `render_leaf_value`, the renderer model output uses too.
     """
     return " | ".join(f"{key}: {value}" for key, value in sorted(_flat_items(raw_fields)))
 
@@ -111,18 +114,8 @@ def _flat_items(mapping: Mapping[str, Any], prefix: str = "") -> list[tuple[str,
         if isinstance(value, Mapping):
             items.extend(_flat_items(value, path))
         else:
-            items.append((path, _render_value(value)))
+            items.append((path, render_leaf_value(value)))
     return items
-
-
-def _render_value(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (list, tuple)):
-        return ", ".join(_render_value(item) for item in value)
-    return str(value)
 
 
 def ingest_records(path: str | Path, format: str | None = None) -> list[PartRecord]:
@@ -281,7 +274,7 @@ class FlatIndex:
         if not (len(record_ids) == len(flat_texts) == len(sources) == matrix.shape[0]):
             raise ValueError("metadata length does not match matrix rows")
         if len(set(record_ids)) != len(record_ids):
-            raise ValueError("record ids must be unique within an index")
+            raise ValueError("duplicate record ids in index")
         self._matrix = matrix
         self._record_ids = tuple(record_ids)
         self._flat_texts = tuple(flat_texts)
@@ -292,16 +285,13 @@ class FlatIndex:
     @classmethod
     def build(cls, records: Sequence[PartRecord], embedder: Embedder) -> FlatIndex:
         """Embed every record's flat text and freeze the result."""
-        ids = [record.record_id for record in records]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate record ids in corpus")
         if records:
             matrix = np.stack([embed_text(record.flat_text, embedder) for record in records])
         else:
             matrix = np.empty((0, embedder.dimension), dtype=np.float32)
         return cls(
             matrix,
-            ids,
+            [record.record_id for record in records],
             [record.flat_text for record in records],
             [record.source for record in records],
             embedder,
@@ -407,7 +397,7 @@ class FlatIndex:
                     "and flat_text"
                 )
         if embedder is None:
-            embedder = _embedder_from_spec(manifest.get("embedder"), dim)
+            embedder = _embedder_from_spec(manifest.get("embedder"), dim, directory)
         if embedder.dimension != dim:
             raise ValueError(
                 f"{directory}: embedder dimension {embedder.dimension} does not match "
@@ -422,9 +412,11 @@ class FlatIndex:
         )
 
 
-def _embedder_from_spec(spec: Mapping[str, Any] | None, dimension: int) -> Embedder:
+def _embedder_from_spec(spec: Any, dimension: int, directory: Path) -> Embedder:
     if spec is None:
         return HashTrigramEmbedder(dimension)
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"{directory}: manifest embedder must be an object")
     kind = spec.get("kind")
     if kind == "hash_trigram":
         return HashTrigramEmbedder(int(spec.get("dimension", dimension)))

@@ -52,6 +52,8 @@ TIE_NONE = "none"
 TIE_MEAN_CONFIDENCE = "mean_confidence"
 TIE_RAG = "rag"
 TIE_MODEL_ORDER = "model_order"
+# Statistic rungs in ranking order: support, mean confidence, grounding.
+_RUNGS = (TIE_NONE, TIE_MEAN_CONFIDENCE, TIE_RAG)
 
 
 @dataclass(frozen=True)
@@ -169,24 +171,13 @@ def resolve_field(
         earliest = min(model_rank(member.source_model) for member in members)
         stats[canonical] = (len(members), mean_conf, aligned, earliest)
 
-    candidates = list(stats)
+    ranked = sorted(stats, key=lambda c: (-stats[c][0], -stats[c][1], -stats[c][2], stats[c][3], c))
+    winner_canonical = ranked[0]
     tie_break = TIE_NONE
-    for rung, key in (
-        (TIE_NONE, lambda c: stats[c][0]),
-        (TIE_MEAN_CONFIDENCE, lambda c: stats[c][1]),
-        (TIE_RAG, lambda c: stats[c][2]),
-    ):
-        best = max(key(c) for c in candidates)
-        survivors = [c for c in candidates if key(c) == best]
-        if len(survivors) < len(candidates):
-            tie_break = rung
-        candidates = survivors
-        if len(candidates) == 1:
-            break
-    if len(candidates) > 1:
-        tie_break = TIE_MODEL_ORDER
-        candidates.sort(key=lambda c: (stats[c][3], c))
-    winner_canonical = candidates[0]
+    if len(ranked) > 1:
+        # The deciding rung is the first statistic separating the runner-up.
+        pairs = zip(_RUNGS, stats[winner_canonical], stats[ranked[1]])
+        tie_break = next((rung for rung, won, lost in pairs if won != lost), TIE_MODEL_ORDER)
     winner = groups[winner_canonical]
     count, mean_conf, aligned, _earliest = stats[winner_canonical]
 
@@ -245,7 +236,6 @@ def synthesize_spec(
     description_id: str = "",
     *,
     invoke_fn: Callable[..., Any] | None = gateway.invoke,
-    env: Mapping[str, str] | None = None,
 ) -> SynthesizedSpec:
     """Merge per-model results into one spec and run the consistency pass.
 
@@ -269,7 +259,7 @@ def synthesize_spec(
     }
 
     resolved, pass_note = _consistency_pass(
-        resolved, context, config, schema, invoke_fn=invoke_fn, env=env
+        resolved, context, config, schema, invoke_fn=invoke_fn
     )
 
     total = len(resolved)
@@ -299,7 +289,6 @@ def _consistency_pass(
     schema: SpecSchema,
     *,
     invoke_fn: Callable[..., Any] | None,
-    env: Mapping[str, str] | None,
 ) -> tuple[dict[str, ResolvedField], str]:
     if invoke_fn is None:
         return resolved, "skipped"
@@ -314,7 +303,7 @@ def _consistency_pass(
         user_text="DRAFT SPECIFICATION:\n" + "\n".join(draft_lines),
     )
     checked = gateway.call_structured(
-        provider, request, schema, PHASE_RESEARCH, invoke_fn=invoke_fn, env=env
+        provider, request, schema, PHASE_RESEARCH, invoke_fn=invoke_fn
     )
     if not checked.schema_valid:
         reason = checked.failure.kind if checked.failure else "invalid_output"

@@ -6,6 +6,7 @@ import io
 import json
 
 import pytest
+from conftest import ScriptedHandler
 
 from partspec.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, run_command
 from partspec.metrics import load_system_run
@@ -189,6 +190,39 @@ class TestExtract:
         assert all(d["error"]["kind"] == "quorum_not_met" for d in documents)
         assert "24 of 24 descriptions did not reach quorum" in outcome.stderr
 
+    def test_env_mapping_reaches_http_provider(self, corpus, tmp_path, http_server):
+        config = {
+            "roster": [
+                {
+                    "model_id": "live",
+                    "kind": "http_openai_compatible",
+                    "endpoint": http_server,
+                    "credentials_env": "PART_KEY",
+                    "max_retries": 0,
+                    "role_tags": ["extraction", "synthesis"],
+                }
+            ],
+            "synthesis_model": "live",
+            "min_quorum": 1,
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        input_path = tmp_path / "input.txt"
+        input_path.write_text("M8 hex bolt\n", encoding="utf-8")
+        args = [
+            "extract",
+            "--input", str(input_path),
+            "--config", str(config_path),
+            "--index", str(corpus.index_dir),
+        ]
+        # Without the key the provider fails auth before any request is sent.
+        assert run_command(args, env={}).exit_code == EXIT_RUNTIME
+        assert ScriptedHandler.seen_auth == []
+        # The stub's reply lacks required fields, so quorum still fails.
+        outcome = run_command(args, env={"PART_KEY": "sekrit"})
+        assert outcome.exit_code == EXIT_RUNTIME
+        assert ScriptedHandler.seen_auth == ["Bearer sekrit"]
+
     def test_custom_schema_changes_validation(self, corpus, tmp_path):
         schema_path = tmp_path / "schema.json"
         schema_path.write_text(
@@ -228,6 +262,9 @@ _EVAL_DEFECTS = {
     "overflowing_detail_max": "manifest entry 'd001'",
     "descriptions_not_array": "run.json: descriptions",
     "final_not_object": "run.json: description 0: final",
+    "string_expected_fields": "manifest entry 'd001': expected_fields",
+    "string_allowed_attributes": "manifest entry 'd001': allowed_attributes",
+    "non_string_system_id": "run.json: run file must be an object with a string system_id",
 }
 
 
@@ -309,6 +346,12 @@ class TestEval:
             run["descriptions"] = {d["description_id"]: d for d in run["descriptions"]}
         elif defect == "final_not_object":
             first["final"] = [1]
+        elif defect == "string_expected_fields":
+            manifest[first["description_id"]]["expected_fields"] = "part_name"
+        elif defect == "string_allowed_attributes":
+            manifest[first["description_id"]]["allowed_attributes"] = "part_name"
+        elif defect == "non_string_system_id":
+            run["system_id"] = 5
         run_path.write_text(json.dumps(run), encoding="utf-8")
         manifest_path = tmp_path / "manifest.json"
         manifest_text = "{not json" if defect == "manifest_not_json" else json.dumps(manifest)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partspec.core import (
@@ -196,6 +196,11 @@ class TestRenderNestedValue:
     def test_value_envelope_unwrapped(self):
         rendered = render_nested_value({"size": {"value": "M8", "confidence": 0.9}})
         assert rendered == "size: M8"
+
+    def test_colliding_keys_with_and_without_envelope(self):
+        bore = {"Bore": {"value": "8 mm", "confidence": 0.9}, "bore": "8 mm"}
+        rendered = render_nested_value(bore)
+        assert rendered == "bore: 8 mm | bore: 8 mm"
 
 
 def _validate(document, schema=None):
@@ -448,17 +453,45 @@ _json_leaf = st.one_of(
     st.text(max_size=12),
     st.lists(st.text(max_size=6), max_size=3),
 )
+# Keys that collide once canonicalized ("Bore", "bore", "BORE" ...) plus
+# arbitrary text, so duplicate paths in one map get exercised.
+_json_key = st.one_of(
+    st.sampled_from(("Bore", "bore", "BORE", "Part Name", "part_name")), st.text(max_size=10)
+)
+_confidence = st.one_of(
+    st.floats(min_value=-2, max_value=2),
+    st.integers(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
 _json_value = st.recursive(
     _json_leaf,
-    lambda children: st.dictionaries(st.text(max_size=8), children, max_size=4),
+    lambda children: st.one_of(
+        st.dictionaries(_json_key, children, max_size=4),
+        st.fixed_dictionaries({"value": children}, optional={"confidence": _confidence}),
+        st.lists(children, max_size=3),
+    ),
     max_leaves=12,
 )
-_document = st.dictionaries(st.text(max_size=10), _json_value, max_size=6)
+_document = st.dictionaries(_json_key, _json_value, max_size=6)
+# The same bore written twice, once in an envelope: equal (path, value)
+# leaves whose confidences are a float and None.
+_COLLIDING_ENVELOPE = {
+    "part_name": "bolt",
+    "manufacturer": "Acme",
+    "part_number": "X1",
+    "specifications": {"Bore": {"value": "8 mm", "confidence": 0.9}, "bore": "8 mm"},
+}
+# A confidence too large to convert to a float.
+_HUGE_CONFIDENCE = {"part_name": {"value": "bolt", "confidence": 10**400}}
 
 
 class TestValidationProperties:
     @settings(max_examples=150, deadline=None)
     @given(_document)
+    @example(_COLLIDING_ENVELOPE)
+    @example(_HUGE_CONFIDENCE)
     def test_never_raises_and_claims_unique(self, document):
         result = _validate(document)
         names = [claim.field for claim in result.claims]

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import hashlib
-import json
-import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from conftest import ScriptedHandler
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partspec.core import PHASE_EXTRACTION, SpecSchema
 from partspec.gateway import (
@@ -201,51 +200,6 @@ class TestRetryPolicy:
         assert "boom" in outcome.detail
 
 
-class _ScriptedHandler(BaseHTTPRequestHandler):
-    script: list[int] = []
-    lock = threading.Lock()
-    seen_auth: list[str | None] = []
-
-    def do_POST(self):
-        with self.lock:
-            status = self.script.pop(0) if self.script else 200
-        self.seen_auth.append(self.headers.get("Authorization"))
-        length = int(self.headers.get("Content-Length", 0))
-        self.rfile.read(length)
-        if status == -1:
-            time.sleep(1.0)
-            status = 200
-        if status == -2:
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.end_headers()
-            self.wfile.write(b"not json")
-            return
-        body = json.dumps(
-            {"choices": [{"message": {"content": '{"part_name": "bolt"}'}}]}
-        ).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        if status == 200:
-            self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def http_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _ScriptedHandler.script = []
-    _ScriptedHandler.seen_auth = []
-    yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
-    server.shutdown()
-    server.server_close()
-
-
 def _http_config(endpoint, **overrides):
     defaults = dict(
         model_id="live-model",
@@ -265,34 +219,34 @@ class TestHttpBackend:
         assert outcome.raw_text == '{"part_name": "bolt"}'
 
     def test_rate_limited_then_recovers(self, http_server):
-        _ScriptedHandler.script = [429, 429, 200]
+        ScriptedHandler.script = [429, 429, 200]
         outcome = invoke(_http_config(http_server), REQUEST, sleep=lambda s: None)
         assert isinstance(outcome, ProviderResponse)
         assert outcome.attempt_count == 3
 
     def test_auth_status_maps_to_auth_failure(self, http_server):
-        _ScriptedHandler.script = [401]
+        ScriptedHandler.script = [401]
         outcome = invoke(_http_config(http_server), REQUEST, sleep=lambda s: None)
         assert isinstance(outcome, ProviderFailure)
         assert outcome.kind == FAIL_AUTH
         assert outcome.attempt_count == 1
 
     def test_server_error_retries_then_exhausts(self, http_server):
-        _ScriptedHandler.script = [500, 500, 500]
+        ScriptedHandler.script = [500, 500, 500]
         outcome = invoke(_http_config(http_server), REQUEST, sleep=lambda s: None)
         assert isinstance(outcome, ProviderFailure)
         assert outcome.kind == FAIL_EXHAUSTED
         assert outcome.attempt_count == 3
 
     def test_timeout_maps_to_timeout_failure(self, http_server):
-        _ScriptedHandler.script = [-1]
+        ScriptedHandler.script = [-1]
         config = _http_config(http_server, timeout=0.2, max_retries=0)
         outcome = invoke(config, REQUEST, sleep=lambda s: None)
         assert isinstance(outcome, ProviderFailure)
         assert outcome.kind == FAIL_TIMEOUT
 
     def test_malformed_body_is_transport(self, http_server):
-        _ScriptedHandler.script = [-2]
+        ScriptedHandler.script = [-2]
         config = _http_config(http_server, max_retries=0)
         outcome = invoke(config, REQUEST, sleep=lambda s: None)
         assert isinstance(outcome, ProviderFailure)
@@ -310,7 +264,7 @@ class TestHttpBackend:
         config = _http_config(http_server, credentials_env="PART_KEY")
         outcome = invoke(config, REQUEST, env={"PART_KEY": "sekrit"}, sleep=lambda s: None)
         assert isinstance(outcome, ProviderResponse)
-        assert "Bearer sekrit" in _ScriptedHandler.seen_auth
+        assert "Bearer sekrit" in ScriptedHandler.seen_auth
 
     def test_missing_credentials_is_auth_failure(self, http_server):
         config = _http_config(http_server, credentials_env="PART_KEY")
@@ -359,6 +313,12 @@ class TestExtractFirstJsonObject:
         assert extract_first_json_object("no json here") is None
         assert extract_first_json_object("[1, 2, 3]") is None
         assert extract_first_json_object("") is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.text(alphabet='{}[]":,.-e0 1ab\\nul')))
+    def test_never_raises_on_any_text(self, text):
+        found = extract_first_json_object(text)
+        assert found is None or isinstance(found, dict)
 
 
 class TestParseStructuredOutput:

@@ -566,6 +566,24 @@ class TestRunPipeline:
         assert result.research_context.query_text.endswith(" manufacturer")
         assert result.final is not None
 
+    def test_invoke_fn_takes_provider_and_request_only(self):
+        low_conf = dict(_FULL_DOC, manufacturer={"value": "Acme", "confidence": 0.5})
+        called: list[str] = []
+
+        def call(provider, request):
+            called.append(provider.model_id)
+            doc = _FULL_DOC if "FOCUS" in request.user_text else low_conf
+            return ProviderResponse(provider.model_id, json.dumps(doc), 0.0, 1)
+
+        result = run_pipeline(
+            DESCRIPTION, _config(), _index(), SpecSchema.default(), invoke_fn=call
+        )
+        # Extraction, research and the consistency pass all used the fake.
+        assert sorted(called) == ["alpha", "bravo", "bravo", "charlie", "synth"]
+        assert all(r.failure is None for r in result.phase1_results + result.phase2_results)
+        assert result.final is not None
+        assert result.final.provenance["synthesis_pass"] == "applied: synth"
+
     def test_deterministic_serialization(self):
         first = run_pipeline(
             DESCRIPTION, _config(), _index(), SpecSchema.default(), invoke_fn=_echo_invoke()

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partspec.core import render_leaf_value
 from partspec.retrieval import (
     DEFAULT_DIMENSION,
     FlatIndex,
@@ -58,6 +59,15 @@ class TestFlattenRecord:
     def test_value_rendering(self):
         flat = flatten_record({"a": None, "b": True, "c": [1, 2], "d": 3.5})
         assert flat == "a:  | b: true | c: 1, 2 | d: 3.5"
+
+    def test_array_of_objects_renders_like_model_output(self, tmp_path):
+        threads = [{"Pitch": "1.25 mm", "size": "M8"}, {"size": "M10"}]
+        kb = tmp_path / "kb.json"
+        kb.write_text(json.dumps([{"id": "p1", "threads": threads}]), encoding="utf-8")
+        (record,) = ingest_records(kb)
+        # The same text a model claim for this value carries, not Python's repr.
+        assert record.flat_text == "id: p1 | threads: pitch: 1.25 mm | size: M8, size: M10"
+        assert record.flat_text.endswith("threads: " + render_leaf_value(threads))
 
 
 class TestIngestRecords:
@@ -358,6 +368,7 @@ class TestPersistence:
             "record_without_id",
             "embedder_dimension_mismatch",
             "non_finite_vector",
+            "embedder_not_object",
         ],
     )
     def test_broken_index_rejected(self, tmp_path, defect):
@@ -376,6 +387,8 @@ class TestPersistence:
             blob = bytearray((tmp_path / "vectors.sfix").read_bytes())
             blob[16:20] = struct.pack("<f", float("nan"))
             (tmp_path / "vectors.sfix").write_bytes(bytes(blob))
+        elif defect == "embedder_not_object":
+            manifest["embedder"] = [manifest["embedder"]]
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(str(tmp_path))):
             FlatIndex.load(tmp_path)

@@ -251,6 +251,53 @@ class TestResolveFieldProperties:
         assert 0.0 < resolved.agreement <= 1.0
         assert 0.0 <= resolved.confidence <= 1.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        claims=_claim_lists(),
+        grounded=st.lists(st.sampled_from(_pool_values), max_size=3, unique=True),
+        roster_size=st.integers(min_value=0, max_value=5),
+    )
+    def test_matches_rung_ladder_reference(self, claims, grounded, roster_size):
+        context = _context(*(f"stock from {value} works" for value in grounded))
+        roster = tuple(f"model-{i}" for i in reversed(range(roster_size)))
+        resolved = resolve_field(claims, context, roster_order=roster)
+        assert (resolved.canonical_value, resolved.tie_break_used) == _ladder_reference(
+            claims, context, roster
+        )
+
+
+def _ladder_reference(claims, context, roster):
+    """The rung-by-rung narrowing that defines resolve_field's winner and rung.
+
+    Each statistic (support, mean confidence, grounding) in turn keeps only
+    the candidates at its maximum; the rung that last removed a candidate
+    is the deciding one, and model order settles whatever is left.
+    """
+    rank = {model: position for position, model in enumerate(roster)}
+    groups: dict[str, list] = {}
+    for claim in claims:
+        groups.setdefault(claim.canonical_value, []).append(claim)
+    stats = {
+        value: (
+            len(members),
+            sum(member.confidence for member in members) / len(members),
+            rag_alignment_indicator(value, context),
+            min((rank.get(m.source_model, len(rank)), m.source_model) for m in members),
+        )
+        for value, members in groups.items()
+    }
+    candidates = list(stats)
+    rung = TIE_NONE
+    for position, name in enumerate((TIE_NONE, TIE_MEAN_CONFIDENCE, TIE_RAG)):
+        best = max(stats[c][position] for c in candidates)
+        survivors = [c for c in candidates if stats[c][position] == best]
+        if len(survivors) < len(candidates):
+            rung = name
+        candidates = survivors
+        if len(candidates) == 1:
+            return candidates[0], rung
+    return min(candidates, key=lambda c: (stats[c][3], c)), TIE_MODEL_ORDER
+
 
 def _result(doc, model, phase=PHASE_EXTRACTION):
     return validate_spec_document(doc, SpecSchema.default(), model, phase)
