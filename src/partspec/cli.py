@@ -19,6 +19,7 @@ import logging
 import os
 import sys
 from collections.abc import Mapping, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -38,6 +39,10 @@ from .retrieval import (
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
+
+# Descriptions one `extract` batch runs at once. Each holds at most one call
+# per roster entry in flight, so the call pool is this times the roster.
+BATCH_WIDTH = 8
 
 # Bad input of any kind is a usage error; ConfigError, FormatError and
 # MetricError are ValueErrors too.
@@ -180,9 +185,21 @@ def _cmd_extract(
     # Credentials are read from `env` here and nowhere else in the pipeline.
     invoke_fn = partial(invoke, env=env)
 
-    results: list[PipelineResult] = []
-    for description in descriptions:
-        results.append(run_pipeline(description, config, index, schema, invoke_fn=invoke_fn))
+    # Batch tasks wait on call tasks and call tasks wait on nothing, so two
+    # pools cannot deadlock at any size. map keeps the input order.
+    with (
+        ThreadPoolExecutor(BATCH_WIDTH * len(config.roster)) as calls,
+        ThreadPoolExecutor(BATCH_WIDTH) as batch,
+    ):
+        run_one = partial(
+            run_pipeline,
+            config=config,
+            index=index,
+            schema=schema,
+            invoke_fn=invoke_fn,
+            executor=calls,
+        )
+        results: list[PipelineResult] = list(batch.map(run_one, descriptions))
 
     documents: list[dict[str, Any]] = []
     for result in results:

@@ -14,6 +14,7 @@ import logging
 import math
 import os
 import re
+import threading
 import time
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
@@ -265,10 +266,22 @@ class HttpBackend:
         return content
 
 
+# requests does not document Session as thread-safe, so each thread keeps its
+# own. A long-lived worker thread then reuses its connections across calls.
+_thread_sessions = threading.local()
+
+
+def _thread_session() -> requests.Session:
+    session = getattr(_thread_sessions, "session", None)
+    if session is None:
+        session = _thread_sessions.session = requests.Session()
+    return session
+
+
 def resolve_backend(config: ProviderConfig, env: Mapping[str, str] | None = None) -> Backend:
     if config.kind == KIND_REPLAY:
         return ReplayBackend(config)
-    return HttpBackend(config, env=env)
+    return HttpBackend(config, env=env, session=_thread_session())
 
 
 def invoke(

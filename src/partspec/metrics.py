@@ -247,11 +247,11 @@ def load_system_run(path: str | Path) -> SystemRun:
     descriptions: list[DescriptionRun] = []
     for position, raw in enumerate(raw_descriptions):
         where = f"{path}: description {position}"
-        if not isinstance(raw, Mapping) or "description_id" not in raw:
-            raise MetricError(f"{where} must be an object with a description_id")
+        if not isinstance(raw, Mapping) or not isinstance(raw.get("description_id"), str):
+            raise MetricError(f"{where} must be an object with a string description_id")
         try:
             outputs = tuple(ExtractionResult.from_dict(o) for o in raw.get("outputs", ()))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise MetricError(f"{where}: unreadable output ({type(exc).__name__}: {exc})") from None
         final = raw.get("final")
         final_fields: tuple[str, ...] | None = None

@@ -12,8 +12,9 @@ import json
 import logging
 import math
 import time
-from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Iterator, Mapping, Sequence
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -277,21 +278,32 @@ def build_prompt(
     )
 
 
+@contextmanager
+def _call_pool(executor: Executor | None, config: EnsembleConfig) -> Iterator[Executor]:
+    """The caller's executor, or a pool sized to the roster for the block."""
+    if executor is not None:
+        yield executor
+        return
+    with ThreadPoolExecutor(max_workers=len(config.roster)) as pool:
+        yield pool
+
+
 def _fan_out(
     providers: Sequence[ProviderConfig],
     request: PromptRequest,
     schema: SpecSchema,
     phase: str,
     invoke_fn: Callable[..., Any],
+    executor: Executor,
 ) -> list[ExtractionResult]:
-    """Call every provider concurrently; results come back in roster order."""
-    if not providers:
-        return []
+    """Call every provider concurrently; results come back in roster order.
+
+    The calls never wait on other tasks, so any executor size is safe.
+    """
     call = partial(
         call_structured, request=request, schema=schema, phase=phase, invoke_fn=invoke_fn
     )
-    with ThreadPoolExecutor(max_workers=len(providers)) as pool:
-        return list(pool.map(call, providers))
+    return list(executor.map(call, providers))
 
 
 def extract_phase(
@@ -301,13 +313,18 @@ def extract_phase(
     schema: SpecSchema,
     *,
     invoke_fn: Callable[..., Any] = invoke,
+    executor: Executor | None = None,
 ) -> tuple[list[ExtractionResult], RetrievedContext]:
-    """Phase 1: one grounded prompt to every extraction provider, in parallel."""
+    """Phase 1: one grounded prompt to every extraction provider, in parallel.
+
+    Provider calls run on `executor`; without one, on a pool for this phase.
+    """
     context = index.search(description.text, config.k, config.threshold)
     request = build_prompt(description, context, schema, (), PHASE_EXTRACTION)
-    results = _fan_out(
-        config.extraction_providers(), request, schema, PHASE_EXTRACTION, invoke_fn
-    )
+    with _call_pool(executor, config) as calls:
+        results = _fan_out(
+            config.extraction_providers(), request, schema, PHASE_EXTRACTION, invoke_fn, calls
+        )
     return results, context
 
 
@@ -347,14 +364,16 @@ def research_phase(
     schema: SpecSchema,
     *,
     invoke_fn: Callable[..., Any] = invoke,
+    executor: Executor | None = None,
 ) -> tuple[list[ExtractionResult], RetrievedContext]:
     """Phase 2: re-retrieve with the gap fields appended and ask researchers."""
     query = description.text + " " + " ".join(gaps)
     context = index.search(query, config.k, config.threshold)
     request = build_prompt(description, context, schema, tuple(gaps), PHASE_RESEARCH)
-    results = _fan_out(
-        config.research_providers(), request, schema, PHASE_RESEARCH, invoke_fn
-    )
+    with _call_pool(executor, config) as calls:
+        results = _fan_out(
+            config.research_providers(), request, schema, PHASE_RESEARCH, invoke_fn, calls
+        )
     return results, context
 
 
@@ -365,68 +384,76 @@ def run_pipeline(
     schema: SpecSchema,
     *,
     invoke_fn: Callable[..., Any] = invoke,
+    executor: Executor | None = None,
 ) -> PipelineResult:
     """Run extraction, optional research, and synthesis for one description.
 
     Too few schema-valid phase-1 outputs short-circuits to a quorum failure
     (research and synthesis are skipped); `final` is present exactly when
-    the quorum was met.
+    the quorum was met. Provider calls run on `executor`; without one, on a
+    single pool for the whole description.
     """
-    t0 = time.perf_counter()
-    phase1, extraction_context = extract_phase(
-        description, config, index, schema, invoke_fn=invoke_fn
-    )
-    t1 = time.perf_counter()
-
-    successes = sum(1 for result in phase1 if result.schema_valid)
-    if successes < config.min_quorum:
-        logger.warning(
-            "quorum not met for %s: %d of %d required",
-            description.id,
-            successes,
-            config.min_quorum,
+    with _call_pool(executor, config) as calls:
+        t0 = time.perf_counter()
+        phase1, extraction_context = extract_phase(
+            description, config, index, schema, invoke_fn=invoke_fn, executor=calls
         )
+        t1 = time.perf_counter()
+
+        successes = sum(1 for result in phase1 if result.schema_valid)
+        if successes < config.min_quorum:
+            logger.warning(
+                "quorum not met for %s: %d of %d required",
+                description.id,
+                successes,
+                config.min_quorum,
+            )
+            return PipelineResult(
+                description_id=description.id,
+                phase1_results=tuple(phase1),
+                phase2_results=(),
+                extraction_context=extraction_context,
+                research_context=None,
+                final=None,
+                quorum_failure=QuorumFailure(successes, config.min_quorum),
+                timings={
+                    "extraction": t1 - t0,
+                    "research": 0.0,
+                    "synthesis": 0.0,
+                    "total": t1 - t0,
+                },
+            )
+
+        gaps = identify_gaps(phase1, schema, config)
+        phase2: list[ExtractionResult] = []
+        research_context: RetrievedContext | None = None
+        if gaps:
+            phase2, research_context = research_phase(
+                description, gaps, config, index, schema, invoke_fn=invoke_fn, executor=calls
+            )
+        t2 = time.perf_counter()
+
+        final = synthesize_spec(
+            list(phase1) + phase2,
+            extraction_context,
+            config,
+            schema,
+            description_id=description.id,
+            invoke_fn=invoke_fn,
+        )
+        t3 = time.perf_counter()
         return PipelineResult(
             description_id=description.id,
             phase1_results=tuple(phase1),
-            phase2_results=(),
+            phase2_results=tuple(phase2),
             extraction_context=extraction_context,
-            research_context=None,
-            final=None,
-            quorum_failure=QuorumFailure(successes, config.min_quorum),
-            timings={"extraction": t1 - t0, "research": 0.0, "synthesis": 0.0, "total": t1 - t0},
+            research_context=research_context,
+            final=final,
+            quorum_failure=None,
+            timings={
+                "extraction": t1 - t0,
+                "research": t2 - t1,
+                "synthesis": t3 - t2,
+                "total": t3 - t0,
+            },
         )
-
-    gaps = identify_gaps(phase1, schema, config)
-    phase2: list[ExtractionResult] = []
-    research_context: RetrievedContext | None = None
-    if gaps:
-        phase2, research_context = research_phase(
-            description, gaps, config, index, schema, invoke_fn=invoke_fn
-        )
-    t2 = time.perf_counter()
-
-    final = synthesize_spec(
-        list(phase1) + phase2,
-        extraction_context,
-        config,
-        schema,
-        description_id=description.id,
-        invoke_fn=invoke_fn,
-    )
-    t3 = time.perf_counter()
-    return PipelineResult(
-        description_id=description.id,
-        phase1_results=tuple(phase1),
-        phase2_results=tuple(phase2),
-        extraction_context=extraction_context,
-        research_context=research_context,
-        final=final,
-        quorum_failure=None,
-        timings={
-            "extraction": t1 - t0,
-            "research": t2 - t1,
-            "synthesis": t3 - t2,
-            "total": t3 - t0,
-        },
-    )

@@ -419,6 +419,9 @@ def _embedder_from_spec(spec: Any, dimension: int, directory: Path) -> Embedder:
         raise ValueError(f"{directory}: manifest embedder must be an object")
     kind = spec.get("kind")
     if kind == "hash_trigram":
-        return HashTrigramEmbedder(int(spec.get("dimension", dimension)))
+        dimension = spec.get("dimension", dimension)
+        if not isinstance(dimension, int) or isinstance(dimension, bool):
+            raise ValueError(f"{directory}: manifest embedder dimension must be an integer")
+        return HashTrigramEmbedder(dimension)
     raise ValueError(f"manifest names unknown embedder kind {kind!r}; pass one explicitly")
 

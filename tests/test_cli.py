@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import re
+import time
 
 import pytest
-from conftest import ScriptedHandler
+from conftest import ScriptedHandler, finishes_within
 
+from partspec import cli
 from partspec.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, run_command
 from partspec.metrics import load_system_run
 from partspec.retrieval import FlatIndex
@@ -265,7 +268,90 @@ _EVAL_DEFECTS = {
     "string_expected_fields": "manifest entry 'd001': expected_fields",
     "string_allowed_attributes": "manifest entry 'd001': allowed_attributes",
     "non_string_system_id": "run.json: run file must be an object with a string system_id",
+    "output_not_object": "run.json: description 0",
+    "description_id_not_string": "run.json: description 0",
 }
+
+
+def _http_extract_args(corpus, tmp_path, endpoint, texts):
+    """extract argv for `texts` against three HTTP extractors at `endpoint`;
+    the first is also the synthesis model and nobody researches."""
+    config = {
+        "roster": [
+            {
+                "model_id": f"live-{n}",
+                "kind": "http_openai_compatible",
+                "endpoint": endpoint,
+                "max_retries": 0,
+                "role_tags": ["extraction", "synthesis"] if n == 0 else ["extraction"],
+            }
+            for n in range(3)
+        ],
+        "synthesis_model": "live-0",
+    }
+    config_path = tmp_path / "http-config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    input_path = tmp_path / "batch.txt"
+    input_path.write_text("\n".join(texts) + "\n", encoding="utf-8")
+    return [
+        "extract",
+        "--input", str(input_path),
+        "--config", str(config_path),
+        "--index", str(corpus.index_dir),
+    ]
+
+
+# Every provider call waits this long. A description makes two calls in
+# series: the extraction fan-out, then the synthesis review.
+_CALL_DELAY_S = 0.1
+
+
+class TestConcurrentBatch:
+    def test_descriptions_overlap(self, corpus, tmp_path, keepalive_server):
+        texts = [f"M{n} hex bolt, steel" for n in range(4, 12)]
+        args = _http_extract_args(corpus, tmp_path, keepalive_server.url, texts)
+        # One batch without delays first, so lazy set-up is not timed.
+        assert run_command(args).exit_code == EXIT_OK
+        keepalive_server.delay = lambda user_text: _CALL_DELAY_S
+        started = time.perf_counter()
+        outcome = run_command(args)
+        elapsed = time.perf_counter() - started
+        assert outcome.exit_code == EXIT_OK
+        documents = json.loads(outcome.stdout)
+        assert [d["description_id"] for d in documents] == [f"line-{n}" for n in range(1, 9)]
+        assert all("fields" in d for d in documents)
+        serial = len(texts) * 2 * _CALL_DELAY_S
+        assert elapsed < serial / 2
+
+    def test_order_kept_when_later_descriptions_finish_first(
+        self, corpus, tmp_path, keepalive_server
+    ):
+        def staggered(user_text):
+            # Extraction prompts quote the description; lot n waits (6 - n) x 40 ms.
+            lot = re.search(r"lot (\d)", user_text)
+            return 0.04 * (6 - int(lot.group(1))) if lot else 0.0
+
+        keepalive_server.delay = staggered
+        texts = [f"M8 hex bolt, steel, lot {n}" for n in range(6)]
+        args = _http_extract_args(corpus, tmp_path, keepalive_server.url, texts)
+        run_path = tmp_path / "runs" / "run.json"
+        outcome = run_command([*args, "--runs-out", str(run_path)])
+        assert outcome.exit_code == EXIT_OK
+        expected = [f"line-{n}" for n in range(1, 7)]
+        assert [d["description_id"] for d in json.loads(outcome.stdout)] == expected
+        run = load_system_run(run_path)
+        assert [d.description_id for d in run.descriptions] == expected
+
+    def test_batch_width_one_gives_same_bytes(self, corpus, tmp_path, monkeypatch):
+        outputs = []
+        for width in (cli.BATCH_WIDTH, 1):
+            monkeypatch.setattr(cli, "BATCH_WIDTH", width)
+            run_path = tmp_path / f"run-{width}.json"
+            args = _extract_args(corpus, "--runs-out", str(run_path))
+            outcome = finishes_within(60, lambda: run_command(args))
+            assert outcome.exit_code == EXIT_OK
+            outputs.append((outcome.stdout, run_path.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestEval:
@@ -352,6 +438,10 @@ class TestEval:
             manifest[first["description_id"]]["allowed_attributes"] = "part_name"
         elif defect == "non_string_system_id":
             run["system_id"] = 5
+        elif defect == "output_not_object":
+            first["outputs"][0] = 7
+        elif defect == "description_id_not_string":
+            first["description_id"] = {}
         run_path.write_text(json.dumps(run), encoding="utf-8")
         manifest_path = tmp_path / "manifest.json"
         manifest_text = "{not json" if defect == "manifest_not_json" else json.dumps(manifest)

@@ -289,6 +289,13 @@ class TestHttpBackend:
         assert captured["messages"][0]["role"] == "system"
         assert captured["messages"][1] == {"role": "user", "content": REQUEST.user_text}
 
+    def test_calls_on_one_thread_share_a_connection(self, keepalive_server):
+        config = _http_config(keepalive_server.url)
+        for _ in range(2):
+            outcome = invoke(config, REQUEST, sleep=lambda s: None)
+            assert isinstance(outcome, ProviderResponse)
+        assert keepalive_server.connections == 1
+
 
 class TestExtractFirstJsonObject:
     def test_plain_object(self):

@@ -6,9 +6,11 @@ import json
 import math
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import pytest
+from conftest import finishes_within
 from corpusgen import config_document
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -443,6 +445,19 @@ class TestExtractPhase:
         assert elapsed < 0.15
 
 
+def _gap_invoke(threads):
+    """invoke_fn whose low manufacturer confidence forces a research round;
+    it records the name of the thread each call runs on."""
+    low_conf = dict(_FULL_DOC, manufacturer={"value": "Acme", "confidence": 0.5})
+
+    def call(provider, request):
+        threads.append(threading.current_thread().name)
+        doc = _FULL_DOC if "FOCUS" in request.user_text else low_conf
+        return ProviderResponse(provider.model_id, json.dumps(doc), 0.0, 1)
+
+    return call
+
+
 def _valid_result(model, overrides=None):
     doc = dict(_FULL_DOC)
     if overrides:
@@ -583,6 +598,39 @@ class TestRunPipeline:
         assert all(r.failure is None for r in result.phase1_results + result.phase2_results)
         assert result.final is not None
         assert result.final.provenance["synthesis_pass"] == "applied: synth"
+
+    def test_one_pool_per_description_by_default(self):
+        threads: list[str] = []
+        invoke_fn = _gap_invoke(threads)
+        result = run_pipeline(
+            DESCRIPTION, _config(), _index(), SpecSchema.default(), invoke_fn=invoke_fn
+        )
+        assert len(result.phase2_results) == 1
+        # Pool threads are named "<pool>_<worker>": both phases used one pool.
+        fan_out = [name for name in threads if name.startswith("ThreadPoolExecutor")]
+        assert len(fan_out) == 4
+        assert len({name.rsplit("_", 1)[0] for name in fan_out}) == 1
+
+    def test_one_worker_call_pool_completes_with_same_result(self):
+        expected = run_pipeline(
+            DESCRIPTION, _config(), _index(), SpecSchema.default(), invoke_fn=_gap_invoke([])
+        )
+        threads: list[str] = []
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="calls") as calls:
+            result = finishes_within(
+                30,
+                lambda: run_pipeline(
+                    DESCRIPTION,
+                    _config(),
+                    _index(),
+                    SpecSchema.default(),
+                    invoke_fn=_gap_invoke(threads),
+                    executor=calls,
+                ),
+            )
+        assert result.to_json() == expected.to_json()
+        # Every fan-out call ran on the given pool; only the review did not.
+        assert [name.startswith("calls") for name in threads] == [True] * 4 + [False]
 
     def test_deterministic_serialization(self):
         first = run_pipeline(

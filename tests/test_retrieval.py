@@ -369,6 +369,8 @@ class TestPersistence:
             "embedder_dimension_mismatch",
             "non_finite_vector",
             "embedder_not_object",
+            "dimension_list",
+            "dimension_null",
         ],
     )
     def test_broken_index_rejected(self, tmp_path, defect):
@@ -389,6 +391,10 @@ class TestPersistence:
             (tmp_path / "vectors.sfix").write_bytes(bytes(blob))
         elif defect == "embedder_not_object":
             manifest["embedder"] = [manifest["embedder"]]
+        elif defect == "dimension_list":
+            manifest["embedder"]["dimension"] = [16]
+        elif defect == "dimension_null":
+            manifest["embedder"]["dimension"] = None
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(str(tmp_path))):
             FlatIndex.load(tmp_path)
