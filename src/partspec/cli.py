@@ -25,7 +25,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, TextIO
 
-from .core import PartDescription, SpecSchema
+from .core import PartDescription, SpecSchema, decode_json
 from .gateway import invoke
 from .metrics import GroundTruthManifest, evaluate_run, load_runs_dir
 from .orchestrator import EnsembleConfig, PipelineResult, run_pipeline
@@ -221,20 +221,8 @@ def _cmd_extract(
         out.write(rendered)
 
     if args.runs_out:
-        run_doc = {
-            "system_id": args.system_id,
-            "descriptions": [
-                {
-                    "description_id": result.description_id,
-                    "outputs": [
-                        r.to_dict() for r in result.phase1_results + result.phase2_results
-                    ],
-                    "final": result.final.to_dict() if result.final else None,
-                }
-                for result in results
-            ],
-        }
-        _write_file(args.runs_out, json.dumps(run_doc, indent=2, sort_keys=True) + "\n")
+        run_doc = {"system_id": args.system_id, "descriptions": [r.to_dict() for r in results]}
+        _write_file(args.runs_out, json.dumps(run_doc, sort_keys=True) + "\n")
         err.write(f"wrote run file to {args.runs_out}\n")
 
     failed = sum(1 for result in results if result.final is None)
@@ -257,7 +245,7 @@ def _read_descriptions(source: str, stdin: TextIO) -> list[PartDescription]:
         text = Path(source).read_text(encoding="utf-8")
     descriptions: list[PartDescription] = []
     if text.lstrip().startswith("["):
-        data = json.loads(text)
+        data = decode_json(text, "<stdin>" if source == "-" else source)
         seen: set[str] = set()
         for position, item in enumerate(data):
             item_text = item.get("text") if isinstance(item, Mapping) else None

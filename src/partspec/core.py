@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -35,6 +35,8 @@ __all__ = [
     "render_leaf_value",
     "render_nested_value",
     "validate_spec_document",
+    "decode_json",
+    "read_json_file",
 ]
 
 # Field kinds a schema may declare.
@@ -54,6 +56,26 @@ KIND_MISMATCH = "kind_mismatch"
 _WS_RUN = re.compile(r"\s+")
 _NAME_SEPARATORS = re.compile(r"[\s\-]")
 _NAME_STRIP = re.compile(r"[^a-z0-9_]")
+
+
+def decode_json(
+    text: str, source: str | Path, error: Callable[[str], Exception] = ValueError
+) -> Any:
+    """Decode the JSON document `text` read from `source`.
+
+    Text that is not JSON, or nests too deeply to decode, raises `error`
+    with a message that names `source`.
+    """
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{source}: invalid JSON: {exc}") from None
+
+
+def read_json_file(path: str | Path, error: Callable[[str], Exception] = ValueError) -> Any:
+    """Decode the UTF-8 JSON file at `path`; errors as in `decode_json`."""
+    return decode_json(Path(path).read_text(encoding="utf-8"), path, error)
+
 
 def canonicalize_value(raw: str) -> str:
     """Lexically canonicalize a field value.
@@ -114,7 +136,7 @@ class SpecSchema:
         for name, kind in self.field_kinds.items():
             if canonicalize_field_name(name) != name:
                 raise ValueError(f"schema field {name!r} is not canonical")
-            if kind not in FIELD_KINDS:
+            if not isinstance(kind, str) or kind not in FIELD_KINDS:
                 raise ValueError(f"unknown field kind {kind!r} for {name!r}")
 
     def kind_of(self, name: str) -> str | None:
@@ -131,6 +153,8 @@ class SpecSchema:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> SpecSchema:
         """Load from the documented JSON shape with exact key names."""
+        if not isinstance(data, Mapping):
+            raise ValueError("schema must be a JSON object")
         unknown = set(data) - {"required_fields", "field_kinds"}
         if unknown:
             raise ValueError(f"unknown schema keys: {sorted(unknown)}")
@@ -144,8 +168,7 @@ class SpecSchema:
 
     @classmethod
     def from_file(cls, path: str | Path) -> SpecSchema:
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json_file(path))
 
     @classmethod
     def default(cls) -> SpecSchema:

@@ -12,13 +12,12 @@ Five normalized scores, each in [0, 1]:
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .core import PHASE_EXTRACTION, ExtractionResult
+from .core import PHASE_EXTRACTION, ExtractionResult, read_json_file
 
 __all__ = [
     "MetricError",
@@ -179,10 +178,7 @@ class GroundTruthManifest:
 
     @classmethod
     def from_file(cls, path: str | Path) -> GroundTruthManifest:
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise MetricError(f"{path}: invalid JSON: {exc}") from None
+        data = read_json_file(path, MetricError)
         if not isinstance(data, Mapping):
             raise MetricError(f"{path}: manifest must be a JSON object")
         return cls.from_dict(data)
@@ -236,9 +232,11 @@ def load_system_run(path: str | Path) -> SystemRun:
 
     Each description carries "description_id", "outputs" (serialized
     extraction results), and optionally "final" (a synthesized spec object
-    or null; only its field names matter for scoring).
+    or null; only its field names matter for scoring). Other keys, such as
+    the "context_used" and "quorum_failure" that `extract` writes, are
+    ignored.
     """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = read_json_file(path, MetricError)
     if not isinstance(data, Mapping) or not isinstance(data.get("system_id"), str):
         raise MetricError(f"{path}: run file must be an object with a string system_id")
     raw_descriptions = data.get("descriptions", [])
@@ -251,7 +249,7 @@ def load_system_run(path: str | Path) -> SystemRun:
             raise MetricError(f"{where} must be an object with a string description_id")
         try:
             outputs = tuple(ExtractionResult.from_dict(o) for o in raw.get("outputs", ()))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MetricError(f"{where}: unreadable output ({type(exc).__name__}: {exc})") from None
         final = raw.get("final")
         final_fields: tuple[str, ...] | None = None

@@ -26,6 +26,7 @@ from .core import (
     ExtractionResult,
     PartDescription,
     SpecSchema,
+    read_json_file,
 )
 from .gateway import (
     ROLE_EXTRACTION,
@@ -169,11 +170,7 @@ class EnsembleConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> EnsembleConfig:
         path = Path(path)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-        return cls.from_dict(data, base_dir=path.parent)
+        return cls.from_dict(read_json_file(path, ConfigError), base_dir=path.parent)
 
 
 # A JSON value for a field whose default has one of these types is converted
@@ -219,9 +216,8 @@ class QuorumFailure:
 class PipelineResult:
     """Everything one pipeline run produced, serializable for audit.
 
-    Timings are wall-clock and therefore excluded from serialization by
-    default: with replay providers the rest of the result is byte-for-byte
-    reproducible.
+    Timings are wall-clock and therefore stay out of serialization: with
+    replay providers the rest of the result is byte-for-byte reproducible.
     """
 
     description_id: str
@@ -233,11 +229,15 @@ class PipelineResult:
     quorum_failure: QuorumFailure | None
     timings: Mapping[str, float] = field(default_factory=dict)
 
-    def to_dict(self, include_timings: bool = False) -> dict[str, Any]:
-        data: dict[str, Any] = {
+    def to_dict(self) -> dict[str, Any]:
+        """The run-file entry for this description.
+
+        ``outputs`` holds every call's result, extraction before research;
+        each carries its own phase.
+        """
+        return {
             "description_id": self.description_id,
-            "phase1_results": [result.to_dict() for result in self.phase1_results],
-            "phase2_results": [result.to_dict() for result in self.phase2_results],
+            "outputs": [result.to_dict() for result in self.phase1_results + self.phase2_results],
             "context_used": {
                 "extraction": self.extraction_context.to_dict(),
                 "research": self.research_context.to_dict() if self.research_context else None,
@@ -245,12 +245,10 @@ class PipelineResult:
             "final": self.final.to_dict() if self.final else None,
             "quorum_failure": self.quorum_failure.to_dict() if self.quorum_failure else None,
         }
-        if include_timings:
-            data["timings"] = dict(self.timings)
-        return data
 
-    def to_json(self, include_timings: bool = False, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(include_timings), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        """The run-file entry as the run file encodes it."""
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def build_prompt(

@@ -19,7 +19,7 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from .core import render_leaf_value
+from .core import read_json_file, render_leaf_value
 
 logger = logging.getLogger(__name__)
 
@@ -186,11 +186,11 @@ def _read_csv_rows(path: Path) -> list[tuple[int, dict[str, Any]]]:
 
 
 def _read_json_rows(path: Path) -> list[tuple[int, dict[str, Any]]]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(str(path), f"invalid JSON: {exc}") from None
+    try:
+        data = read_json_file(path)
+    except ValueError as exc:
+        # FormatError puts the location in front of the reason itself.
+        raise FormatError(str(path), str(exc).removeprefix(f"{path}: ")) from None
     if not isinstance(data, list):
         raise FormatError(str(path), "top-level JSON value must be an array of objects")
     rows: list[tuple[int, dict[str, Any]]] = []
@@ -376,7 +376,7 @@ class FlatIndex:
         if not np.isfinite(matrix).all():
             raise ValueError(f"{directory}: vector blob holds non-finite values")
 
-        manifest = json.loads((directory / MANIFEST_FILENAME).read_text(encoding="utf-8"))
+        manifest = read_json_file(directory / MANIFEST_FILENAME)
         if not isinstance(manifest, Mapping):
             raise ValueError(f"{directory}: manifest must be a JSON object")
         records = manifest.get("records", [])

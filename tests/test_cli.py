@@ -5,10 +5,15 @@ from __future__ import annotations
 import io
 import json
 import re
+import shutil
 import time
+from functools import reduce
+from operator import getitem
 
 import pytest
-from conftest import ScriptedHandler, finishes_within
+from conftest import JSON_VALUES, ScriptedHandler, finishes_within
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from partspec import cli
 from partspec.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, run_command
@@ -103,6 +108,18 @@ class TestExtract:
         assert len(by_id["d001"].outputs) == 5
         assert len(by_id["d003"].outputs) == 7
         assert all(d.final_fields for d in run.descriptions)
+
+    def test_run_file_entries_are_pipeline_records(self, corpus, tmp_path):
+        run_path = tmp_path / "run.json"
+        outcome = run_command(_extract_args(corpus, "--runs-out", str(run_path)))
+        assert outcome.exit_code == EXIT_OK
+        entries = [json.loads(result.to_json()) for result in corpus.results]
+        run = json.loads(run_path.read_text(encoding="utf-8"))
+        assert run == {"system_id": "ensemble", "descriptions": entries}
+        # One line, sorted keys, and extraction results before research ones.
+        assert run_path.read_text(encoding="utf-8") == json.dumps(run, sort_keys=True) + "\n"
+        phases = [output["phase"] for output in run["descriptions"][2]["outputs"]]
+        assert phases == ["extraction"] * 5 + ["research"] * 2
 
     def test_out_paths_create_parent_dirs(self, corpus, tmp_path):
         out_path = tmp_path / "deep" / "specs.json"
@@ -238,6 +255,22 @@ class TestExtract:
         documents = json.loads(outcome.stdout)
         assert all("error" in document for document in documents)
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [(5, "schema must be a JSON object"),
+         (None, "schema must be a JSON object"),
+         ({"required_fields": ["part_name"], "field_kinds": {"part_name": []}},
+          "unknown field kind [] for 'part_name'")],
+        ids=["number", "null", "list_kind"],
+    )
+    def test_bad_schema_is_usage_error(self, corpus, tmp_path, document, message):
+        schema_path = tmp_path / "schema.json"
+        schema_path.write_text(json.dumps(document), encoding="utf-8")
+        outcome = run_command(_extract_args(corpus, "--schema", str(schema_path)))
+        assert outcome.exit_code == EXIT_USAGE
+        assert message in outcome.stderr
+        assert outcome.stdout == ""
+
     def test_end_to_end_matches_frozen_golden(self, corpus, tmp_path, request):
         """index build then extract reproduces the frozen stdout bytes."""
         index_dir = tmp_path / "cli-index"
@@ -270,6 +303,7 @@ _EVAL_DEFECTS = {
     "non_string_system_id": "run.json: run file must be an object with a string system_id",
     "output_not_object": "run.json: description 0",
     "description_id_not_string": "run.json: description 0",
+    "overflowing_confidence": "run.json: description 0: unreadable output",
 }
 
 
@@ -442,6 +476,8 @@ class TestEval:
             first["outputs"][0] = 7
         elif defect == "description_id_not_string":
             first["description_id"] = {}
+        elif defect == "overflowing_confidence":
+            first["outputs"][0]["claims"][0]["confidence"] = 10**400
         run_path.write_text(json.dumps(run), encoding="utf-8")
         manifest_path = tmp_path / "manifest.json"
         manifest_text = "{not json" if defect == "manifest_not_json" else json.dumps(manifest)
@@ -462,6 +498,128 @@ class TestEval:
         )
         assert outcome.exit_code == EXIT_USAGE
         assert "no run files" in outcome.stderr
+
+    def test_parent_run_file_shape_scores_the_same(self, corpus, runs_dir, tmp_path):
+        """An indented run file holding only description_id, outputs and
+        final scores byte-identically to the one extract writes."""
+        run = json.loads((runs_dir / "run.json").read_text(encoding="utf-8"))
+        assert {"context_used", "quorum_failure"} <= set(run["descriptions"][0])
+        old_runs = tmp_path / "old-runs"
+        old_runs.mkdir()
+        old_run = {
+            "system_id": "RAGsemble",
+            "descriptions": [
+                {
+                    "description_id": result.description_id,
+                    "outputs": [
+                        r.to_dict() for r in result.phase1_results + result.phase2_results
+                    ],
+                    "final": result.final.to_dict() if result.final else None,
+                }
+                for result in corpus.results
+            ],
+        }
+        (old_runs / "run.json").write_text(
+            json.dumps(old_run, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        outcomes = [
+            run_command(["eval", "--runs", str(runs), "--manifest", str(corpus.manifest_path)])
+            for runs in (runs_dir, old_runs)
+        ]
+        assert [outcome.exit_code for outcome in outcomes] == [EXIT_OK, EXIT_OK]
+        assert outcomes[0].stdout == outcomes[1].stdout
+
+    @pytest.fixture(scope="class")
+    def run_paths(self, corpus, tmp_path_factory):
+        """A CLI-written run file's text and its paths, grouped by depth."""
+        run_path = tmp_path_factory.mktemp("property") / "run.json"
+        assert run_command(_extract_args(corpus, "--runs-out", str(run_path))).exit_code == EXIT_OK
+        text = run_path.read_text(encoding="utf-8")
+        by_depth: dict[int, list[tuple]] = {}
+        for path in _json_paths(json.loads(text)):
+            by_depth.setdefault(len(path), []).append(path)
+        return text, by_depth
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data(), value=JSON_VALUES)
+    def test_any_replaced_subtree_gives_documented_outcome(
+        self, corpus, run_paths, tmp_path, data, value
+    ):
+        text, by_depth = run_paths
+        run = json.loads(text)
+        # Depth first, so shallow keys are drawn as often as deep leaves.
+        path = data.draw(st.sampled_from(by_depth[data.draw(st.sampled_from(sorted(by_depth)))]))
+        if path:
+            reduce(getitem, path[:-1], run)[path[-1]] = value
+        else:
+            run = value
+        (tmp_path / "run.json").write_text(json.dumps(run), encoding="utf-8")
+        outcome = run_command(
+            ["eval", "--runs", str(tmp_path), "--manifest", str(corpus.manifest_path)]
+        )
+        assert outcome.exit_code in (EXIT_OK, EXIT_USAGE), outcome.stderr
+        if outcome.stdout:
+            json.loads(outcome.stdout)
+        assert "Traceback" not in outcome.stderr
+
+
+def _json_paths(node, path=()):
+    """Every key/index path into a decoded JSON document, the root included."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _json_paths(child, (*path, key))
+
+
+# Text no JSON loader can decode: cut off, and nested past the recursion limit.
+_UNDECODABLE = {"truncated": '[{"id": ', "too_deep": "[" * 200_000}
+
+
+class TestJsonInputs:
+    """Every JSON file the CLI reads fails the same way: exit 2, file named."""
+
+    @pytest.mark.parametrize("text_id", sorted(_UNDECODABLE))
+    @pytest.mark.parametrize(
+        "source",
+        ["config", "descriptions", "index_manifest", "kb", "manifest", "run_file", "schema"],
+    )
+    def test_undecodable_file_is_usage_error(self, corpus, tmp_path, source, text_id):
+        bad = tmp_path / f"{source}.json"
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        if source == "index_manifest":
+            shutil.copytree(corpus.index_dir, tmp_path / "index")
+            bad = tmp_path / "index" / "manifest.json"
+        elif source == "run_file":
+            bad = runs / "run.json"
+        bad.write_text(_UNDECODABLE[text_id], encoding="utf-8")
+        flag = {
+            "config": "--config",
+            "descriptions": "--input",
+            "index_manifest": "--index",
+            "schema": "--schema",
+        }.get(source)
+        if flag:
+            # The last of a repeated option wins.
+            args = [*_extract_args(corpus), flag, str(bad.parent if flag == "--index" else bad)]
+        elif source == "kb":
+            args = ["index", "build", "--kb", str(bad), "--out", str(tmp_path / "built")]
+        else:
+            manifest = bad if source == "manifest" else corpus.manifest_path
+            args = ["eval", "--runs", str(runs), "--manifest", str(manifest)]
+        outcome = run_command(args)
+        assert outcome.exit_code == EXIT_USAGE
+        assert outcome.stderr.startswith(f"error: {bad}: invalid JSON")
+        assert outcome.stdout == ""
 
 
 class TestConfigCheck:

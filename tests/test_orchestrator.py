@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import pytest
-from conftest import finishes_within
+from conftest import JSON_VALUES, finishes_within
 from corpusgen import config_document
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -40,12 +40,6 @@ from partspec.orchestrator import (
 from partspec.retrieval import FlatIndex, HashTrigramEmbedder, Hit, PartRecord, RetrievedContext
 
 DESCRIPTION = PartDescription("d1", "M8 hex bolt, steel, zinc plated")
-
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
-    max_leaves=8,
-)
 
 
 def _provider(model_id, *roles):
@@ -294,7 +288,7 @@ class TestEnsembleConfig:
             ProviderConfig(model_id="m", kind=KIND_REPLAY, fixtures_dir="f", timeout=math.inf)
 
     @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data(), value=_JSON_VALUES)
+    @given(data=st.data(), value=JSON_VALUES)
     def test_loader_raises_only_config_error(self, tmp_path, data, value):
         document = config_document()
         entry = data.draw(st.sampled_from([document, *document["roster"]]))
@@ -646,8 +640,7 @@ class TestRunPipeline:
             DESCRIPTION, _config(), _index(), SpecSchema.default(), invoke_fn=_echo_invoke()
         )
         assert "timings" not in result.to_dict()
-        with_timings = result.to_dict(include_timings=True)
-        assert set(with_timings["timings"]) == {"extraction", "research", "synthesis", "total"}
+        assert set(result.timings) == {"extraction", "research", "synthesis", "total"}
         assert "timings" not in json.loads(result.to_json())
 
     def test_serialized_shape(self):
@@ -657,8 +650,7 @@ class TestRunPipeline:
         data = json.loads(result.to_json())
         assert set(data) == {
             "description_id",
-            "phase1_results",
-            "phase2_results",
+            "outputs",
             "context_used",
             "final",
             "quorum_failure",
