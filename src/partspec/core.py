@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -159,12 +159,12 @@ class SpecSchema:
         if unknown:
             raise ValueError(f"unknown schema keys: {sorted(unknown)}")
         required = data.get("required_fields")
-        if not isinstance(required, Sequence) or isinstance(required, str):
+        if not isinstance(required, (list, tuple)) or not all(isinstance(n, str) for n in required):
             raise ValueError("required_fields must be an array of field names")
         kinds = data.get("field_kinds", {})
         if not isinstance(kinds, Mapping):
             raise ValueError("field_kinds must be an object")
-        return cls(tuple(str(name) for name in required), dict(kinds))
+        return cls(tuple(required), dict(kinds))
 
     @classmethod
     def from_file(cls, path: str | Path) -> SpecSchema:

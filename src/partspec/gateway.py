@@ -222,7 +222,7 @@ class HttpBackend:
     ) -> None:
         self._config = config
         self._env = os.environ if env is None else env
-        self._session = session if session is not None else requests
+        self._session = session if session is not None else _thread_session()
 
     def complete(self, request: PromptRequest) -> str:
         config = self._config
@@ -281,7 +281,7 @@ def _thread_session() -> requests.Session:
 def resolve_backend(config: ProviderConfig, env: Mapping[str, str] | None = None) -> Backend:
     if config.kind == KIND_REPLAY:
         return ReplayBackend(config)
-    return HttpBackend(config, env=env, session=_thread_session())
+    return HttpBackend(config, env=env)
 
 
 def invoke(

@@ -194,6 +194,9 @@ def _json_kwargs(cls: type, data: Any, what: str) -> dict[str, Any]:
     for name, value in data.items():
         convert = type(declared[name].default)
         if convert in _JSON_CONVERSIONS:
+            if convert in (tuple, frozenset) and not isinstance(value, (list, tuple)):
+                # tuple("abc") would quietly read a string as its characters.
+                raise ConfigError(f"{name} must be an array")
             try:
                 kwargs[name] = convert(value)
             except (TypeError, ValueError, OverflowError) as exc:
@@ -256,18 +259,18 @@ def build_prompt(
     context: RetrievedContext,
     schema: SpecSchema,
     focus_fields: Sequence[str] = (),
-    phase: str = PHASE_EXTRACTION,
 ) -> PromptRequest:
     """Assemble the deterministic prompt for one description.
 
     The user text is a DESCRIPTION block, one REFERENCE block per retrieved
-    hit (similarity to four decimals, descending), and for the research
-    phase a FOCUS block listing the fields to pin down.
+    hit (similarity to four decimals, descending), and, when focus fields
+    are given (the research phase), a FOCUS block listing the fields to pin
+    down.
     """
     blocks = [f"DESCRIPTION:\n{description.text.strip()}"]
     for position, hit in enumerate(context.hits, start=1):
         blocks.append(f"REFERENCE {position} (similarity {hit.similarity:.4f}):\n{hit.snippet}")
-    if phase == PHASE_RESEARCH and focus_fields:
+    if focus_fields:
         focus = "\n".join(f"- {name}" for name in focus_fields)
         blocks.append(f"FOCUS:\n{focus}")
     return PromptRequest(
@@ -286,22 +289,32 @@ def _call_pool(executor: Executor | None, config: EnsembleConfig) -> Iterator[Ex
         yield pool
 
 
-def _fan_out(
-    providers: Sequence[ProviderConfig],
-    request: PromptRequest,
-    schema: SpecSchema,
+def _phase_step(
     phase: str,
+    providers: Sequence[ProviderConfig],
+    query: str,
+    focus_fields: Sequence[str],
+    description: PartDescription,
+    config: EnsembleConfig,
+    index: FlatIndex,
+    schema: SpecSchema,
     invoke_fn: Callable[..., Any],
-    executor: Executor,
-) -> list[ExtractionResult]:
-    """Call every provider concurrently; results come back in roster order.
+    executor: Executor | None,
+) -> tuple[list[ExtractionResult], RetrievedContext]:
+    """One fan-out phase: retrieve for `query`, prompt, call every provider.
 
-    The calls never wait on other tasks, so any executor size is safe.
+    Results come back in roster order. The calls never wait on other tasks,
+    so any executor size is safe; without one they run on a pool for this
+    phase.
     """
+    context = index.search(query, config.k, config.threshold)
+    request = build_prompt(description, context, schema, focus_fields)
     call = partial(
         call_structured, request=request, schema=schema, phase=phase, invoke_fn=invoke_fn
     )
-    return list(executor.map(call, providers))
+    with _call_pool(executor, config) as calls:
+        results = list(calls.map(call, providers))
+    return results, context
 
 
 def extract_phase(
@@ -317,13 +330,10 @@ def extract_phase(
 
     Provider calls run on `executor`; without one, on a pool for this phase.
     """
-    context = index.search(description.text, config.k, config.threshold)
-    request = build_prompt(description, context, schema, (), PHASE_EXTRACTION)
-    with _call_pool(executor, config) as calls:
-        results = _fan_out(
-            config.extraction_providers(), request, schema, PHASE_EXTRACTION, invoke_fn, calls
-        )
-    return results, context
+    return _phase_step(
+        PHASE_EXTRACTION, config.extraction_providers(), description.text, (),
+        description, config, index, schema, invoke_fn, executor,
+    )
 
 
 def identify_gaps(
@@ -366,13 +376,10 @@ def research_phase(
 ) -> tuple[list[ExtractionResult], RetrievedContext]:
     """Phase 2: re-retrieve with the gap fields appended and ask researchers."""
     query = description.text + " " + " ".join(gaps)
-    context = index.search(query, config.k, config.threshold)
-    request = build_prompt(description, context, schema, tuple(gaps), PHASE_RESEARCH)
-    with _call_pool(executor, config) as calls:
-        results = _fan_out(
-            config.research_providers(), request, schema, PHASE_RESEARCH, invoke_fn, calls
-        )
-    return results, context
+    return _phase_step(
+        PHASE_RESEARCH, config.research_providers(), query, tuple(gaps),
+        description, config, index, schema, invoke_fn, executor,
+    )
 
 
 def run_pipeline(
@@ -389,48 +396,27 @@ def run_pipeline(
     Too few schema-valid phase-1 outputs short-circuits to a quorum failure
     (research and synthesis are skipped); `final` is present exactly when
     the quorum was met. Provider calls run on `executor`; without one, on a
-    single pool for the whole description.
+    single pool for the description's fan-out phases, closed before the
+    synthesis review, which runs on the calling thread.
     """
+    phase2: list[ExtractionResult] = []
+    research_context: RetrievedContext | None = None
+    t0 = time.perf_counter()
     with _call_pool(executor, config) as calls:
-        t0 = time.perf_counter()
         phase1, extraction_context = extract_phase(
             description, config, index, schema, invoke_fn=invoke_fn, executor=calls
         )
         t1 = time.perf_counter()
-
         successes = sum(1 for result in phase1 if result.schema_valid)
-        if successes < config.min_quorum:
-            logger.warning(
-                "quorum not met for %s: %d of %d required",
-                description.id,
-                successes,
-                config.min_quorum,
-            )
-            return PipelineResult(
-                description_id=description.id,
-                phase1_results=tuple(phase1),
-                phase2_results=(),
-                extraction_context=extraction_context,
-                research_context=None,
-                final=None,
-                quorum_failure=QuorumFailure(successes, config.min_quorum),
-                timings={
-                    "extraction": t1 - t0,
-                    "research": 0.0,
-                    "synthesis": 0.0,
-                    "total": t1 - t0,
-                },
-            )
-
-        gaps = identify_gaps(phase1, schema, config)
-        phase2: list[ExtractionResult] = []
-        research_context: RetrievedContext | None = None
-        if gaps:
+        quorum_met = successes >= config.min_quorum
+        if quorum_met and (gaps := identify_gaps(phase1, schema, config)):
             phase2, research_context = research_phase(
                 description, gaps, config, index, schema, invoke_fn=invoke_fn, executor=calls
             )
-        t2 = time.perf_counter()
+    t2 = time.perf_counter()
 
+    final: SynthesizedSpec | None = None
+    if quorum_met:
         final = synthesize_spec(
             list(phase1) + phase2,
             extraction_context,
@@ -439,19 +425,21 @@ def run_pipeline(
             description_id=description.id,
             invoke_fn=invoke_fn,
         )
-        t3 = time.perf_counter()
-        return PipelineResult(
-            description_id=description.id,
-            phase1_results=tuple(phase1),
-            phase2_results=tuple(phase2),
-            extraction_context=extraction_context,
-            research_context=research_context,
-            final=final,
-            quorum_failure=None,
-            timings={
-                "extraction": t1 - t0,
-                "research": t2 - t1,
-                "synthesis": t3 - t2,
-                "total": t3 - t0,
-            },
+    else:
+        logger.warning(
+            "quorum not met for %s: %d of %d required",
+            description.id,
+            successes,
+            config.min_quorum,
         )
+    t3 = time.perf_counter()
+    return PipelineResult(
+        description_id=description.id,
+        phase1_results=tuple(phase1),
+        phase2_results=tuple(phase2),
+        extraction_context=extraction_context,
+        research_context=research_context,
+        final=final,
+        quorum_failure=None if quorum_met else QuorumFailure(successes, config.min_quorum),
+        timings=dict(extraction=t1 - t0, research=t2 - t1, synthesis=t3 - t2, total=t3 - t0),
+    )

@@ -166,22 +166,26 @@ def ingest_records(path: str | Path, format: str | None = None) -> list[PartReco
 def _read_csv_rows(path: Path) -> list[tuple[int, dict[str, Any]]]:
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
+        # csv.Error (a cell over the field size limit, say) is not a
+        # ValueError. The limit is process-wide state, so it is left alone.
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(str(path), "CSV file has no header row") from None
-        rows: list[tuple[int, dict[str, Any]]] = []
-        for ordinal, row in enumerate(reader):
-            if len(row) != len(header):
-                logger.warning(
-                    "%s",
-                    FormatError(
-                        f"{path.name}:{ordinal}",
-                        f"expected {len(header)} columns, found {len(row)}; row skipped",
-                    ),
-                )
-                continue
-            rows.append((ordinal, dict(zip(header, row))))
+            header = next(reader, None)
+            if header is None:
+                raise FormatError(str(path), "CSV file has no header row")
+            rows: list[tuple[int, dict[str, Any]]] = []
+            for ordinal, row in enumerate(reader):
+                if len(row) != len(header):
+                    logger.warning(
+                        "%s",
+                        FormatError(
+                            f"{path.name}:{ordinal}",
+                            f"expected {len(header)} columns, found {len(row)}; row skipped",
+                        ),
+                    )
+                    continue
+                rows.append((ordinal, dict(zip(header, row))))
+        except csv.Error as exc:
+            raise FormatError(str(path), f"line {reader.line_num}: {exc}") from None
     return rows
 
 
@@ -224,6 +228,10 @@ class HashTrigramEmbedder:
     """
 
     dimension: int = DEFAULT_DIMENSION
+
+    def __post_init__(self) -> None:
+        if self.dimension < 1:
+            raise ValueError(f"embedding dimension must be at least 1, got {self.dimension}")
 
     def embed(self, text: str) -> np.ndarray:
         counts = np.zeros(self.dimension, dtype=np.float64)
@@ -356,9 +364,8 @@ class FlatIndex:
         )
 
     @classmethod
-    def load(cls, directory: str | Path, embedder: Embedder | None = None) -> FlatIndex:
-        """Reload a persisted index; the embedder is rebuilt from the manifest
-        unless one is supplied explicitly."""
+    def load(cls, directory: str | Path) -> FlatIndex:
+        """Reload a persisted index; the embedder is rebuilt from the manifest."""
         directory = Path(directory)
         blob = (directory / VECTORS_FILENAME).read_bytes()
         if len(blob) < _HEADER.size:
@@ -396,8 +403,7 @@ class FlatIndex:
                     f"{directory}: manifest record {position} needs a string record_id "
                     "and flat_text"
                 )
-        if embedder is None:
-            embedder = _embedder_from_spec(manifest.get("embedder"), dim, directory)
+        embedder = _embedder_from_spec(manifest.get("embedder"), dim, directory)
         if embedder.dimension != dim:
             raise ValueError(
                 f"{directory}: embedder dimension {embedder.dimension} does not match "
@@ -414,14 +420,17 @@ class FlatIndex:
 
 def _embedder_from_spec(spec: Any, dimension: int, directory: Path) -> Embedder:
     if spec is None:
-        return HashTrigramEmbedder(dimension)
+        spec = {"kind": "hash_trigram"}
     if not isinstance(spec, Mapping):
         raise ValueError(f"{directory}: manifest embedder must be an object")
     kind = spec.get("kind")
-    if kind == "hash_trigram":
-        dimension = spec.get("dimension", dimension)
-        if not isinstance(dimension, int) or isinstance(dimension, bool):
-            raise ValueError(f"{directory}: manifest embedder dimension must be an integer")
+    if kind != "hash_trigram":
+        raise ValueError(f"{directory}: manifest names unknown embedder kind {kind!r}")
+    dimension = spec.get("dimension", dimension)
+    if not isinstance(dimension, int) or isinstance(dimension, bool):
+        raise ValueError(f"{directory}: manifest embedder dimension must be an integer")
+    try:
         return HashTrigramEmbedder(dimension)
-    raise ValueError(f"manifest names unknown embedder kind {kind!r}; pass one explicitly")
+    except ValueError as exc:
+        raise ValueError(f"{directory}: {exc}") from None
 

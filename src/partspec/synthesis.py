@@ -290,11 +290,10 @@ def _consistency_pass(
     *,
     invoke_fn: Callable[..., Any] | None,
 ) -> tuple[dict[str, ResolvedField], str]:
-    if invoke_fn is None:
+    if invoke_fn is None or not resolved:
         return resolved, "skipped"
+    # EnsembleConfig guarantees the synthesis model is in the roster.
     provider = config.provider(config.synthesis_model)
-    if provider is None or not resolved:
-        return resolved, "skipped"
 
     draft_lines = [f"{name}: {resolved[name].value}" for name in sorted(resolved)]
     request = PromptRequest(

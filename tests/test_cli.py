@@ -7,7 +7,8 @@ import json
 import re
 import shutil
 import time
-from functools import reduce
+from collections import Counter
+from functools import reduce, wraps
 from operator import getitem
 
 import pytest
@@ -15,7 +16,7 @@ from conftest import JSON_VALUES, ScriptedHandler, finishes_within
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from partspec import cli
+from partspec import cli, gateway, orchestrator, retrieval, synthesis
 from partspec.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, run_command
 from partspec.metrics import load_system_run
 from partspec.retrieval import FlatIndex
@@ -54,6 +55,19 @@ class TestIndexBuild:
         )
         assert outcome.exit_code == EXIT_OK
         assert json.loads(outcome.stdout)["dimension"] == 128
+
+    def test_zero_dimension_is_usage_error(self, corpus, tmp_path):
+        outcome = run_command(
+            [
+                "index", "build",
+                "--kb", str(corpus.kb_path),
+                "--out", str(tmp_path / "zero"),
+                "--dimension", "0",
+            ]
+        )
+        assert outcome.exit_code == EXIT_USAGE
+        assert "embedding dimension must be at least 1, got 0" in outcome.stderr
+        assert outcome.stdout == ""
 
     def test_missing_kb_is_usage_error(self, tmp_path):
         outcome = run_command(
@@ -260,8 +274,10 @@ class TestExtract:
         [(5, "schema must be a JSON object"),
          (None, "schema must be a JSON object"),
          ({"required_fields": ["part_name"], "field_kinds": {"part_name": []}},
-          "unknown field kind [] for 'part_name'")],
-        ids=["number", "null", "list_kind"],
+          "unknown field kind [] for 'part_name'"),
+         ({"required_fields": ["part_name", 5]},
+          "required_fields must be an array of field names")],
+        ids=["number", "null", "list_kind", "number_field_name"],
     )
     def test_bad_schema_is_usage_error(self, corpus, tmp_path, document, message):
         schema_path = tmp_path / "schema.json"
@@ -702,3 +718,57 @@ class TestParser:
         assert main() == EXIT_OK
         captured = capsys.readouterr()
         assert json.loads(captured.out)["ok"] is True
+
+
+# The attributes perfbench/tracing.py wraps to time each layer. Its patcher
+# skips a name the program no longer has, so a rename would silently zero
+# that layer's figures; here it fails a test instead.
+_TRACED_BOUNDARIES = [
+    (cli, "run_pipeline"),
+    (cli, "ingest_records"),
+    (orchestrator, "extract_phase"),
+    (orchestrator, "research_phase"),
+    (orchestrator, "build_prompt"),
+    (orchestrator, "identify_gaps"),
+    (orchestrator, "synthesize_spec"),
+    (gateway, "parse_structured_output"),
+    (gateway, "validate_spec_document"),
+    (gateway.ReplayBackend, "complete"),
+    (synthesis, "resolve_field"),
+    (synthesis, "canonicalize_value"),
+    (retrieval, "embed_text"),
+    (FlatIndex, "search"),
+    (FlatIndex, "build"),
+    (FlatIndex, "save"),
+    (FlatIndex, "load"),
+]
+
+
+def _counting(original, name, counts):
+    if isinstance(original, classmethod):
+        return classmethod(_counting(original.__func__, name, counts))
+
+    @wraps(original)
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    return counted
+
+
+class TestTracedBoundaries:
+    def test_corpus_run_reaches_every_traced_boundary(self, corpus, tmp_path, monkeypatch):
+        counts: Counter[str] = Counter()
+        names = []
+        for owner, attr in _TRACED_BOUNDARIES:
+            name = f"{owner.__name__}.{attr}"
+            names.append(name)
+            monkeypatch.setattr(owner, attr, _counting(vars(owner)[attr], name, counts))
+        index_dir = tmp_path / "index"
+        built = run_command(
+            ["index", "build", "--kb", str(corpus.kb_path), "--out", str(index_dir)]
+        )
+        assert built.exit_code == EXIT_OK
+        outcome = run_command(_extract_args(corpus)[:6] + [str(index_dir)])
+        assert outcome.exit_code == EXIT_OK
+        assert [name for name in names if counts[name] == 0] == []

@@ -261,6 +261,8 @@ class TestEnsembleConfig:
             (None, "threshold", math.inf),
             (0, "timeout", math.nan),
             (0, "timeout", math.inf),
+            (0, "role_tags", "extraction"),
+            (None, "research_models", "abc"),
         ],
         ids=[
             "fixtures_dir_not_string",
@@ -271,6 +273,8 @@ class TestEnsembleConfig:
             "infinite_threshold",
             "nan_timeout",
             "infinite_timeout",
+            "string_role_tags",
+            "string_research_models",
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, entry, key, value):
@@ -321,8 +325,7 @@ class TestBuildPrompt:
             threshold_applied=0.25,
         )
         request = build_prompt(
-            DESCRIPTION, context, SpecSchema.default(), ("manufacturer", "part_number"),
-            PHASE_RESEARCH,
+            DESCRIPTION, context, SpecSchema.default(), ("manufacturer", "part_number")
         )
         assert request.user_text == (
             "DESCRIPTION:\n"
@@ -353,13 +356,6 @@ class TestBuildPrompt:
             'A field value may be written as {"value": ..., "confidence": 0.0-1.0} '
             "to report how certain you are."
         )
-
-    def test_focus_omitted_outside_research(self):
-        context = RetrievedContext.empty(DESCRIPTION.text, 5, 0.25)
-        request = build_prompt(
-            DESCRIPTION, context, SpecSchema.default(), ("manufacturer",), PHASE_EXTRACTION
-        )
-        assert "FOCUS" not in request.user_text
 
     def test_no_references_block_for_empty_context(self):
         context = RetrievedContext.empty(DESCRIPTION.text, 5, 0.25)
@@ -625,6 +621,25 @@ class TestRunPipeline:
         assert result.to_json() == expected.to_json()
         # Every fan-out call ran on the given pool; only the review did not.
         assert [name.startswith("calls") for name in threads] == [True] * 4 + [False]
+
+    def test_default_pool_closed_before_synthesis_review(self):
+        workers: set[threading.Thread] = set()
+        alive_at_review: list[bool] = []
+        answer = _gap_invoke([])
+
+        def call(provider, request):
+            if provider.model_id == "synth":
+                alive_at_review.append(any(worker.is_alive() for worker in workers))
+            else:
+                workers.add(threading.current_thread())
+            return answer(provider, request)
+
+        result = run_pipeline(
+            DESCRIPTION, _config(), _index(), SpecSchema.default(), invoke_fn=call
+        )
+        assert len(result.phase2_results) == 1
+        # The fan-out workers were joined before the review call started.
+        assert workers and alive_at_review == [False]
 
     def test_deterministic_serialization(self):
         first = run_pipeline(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import random
@@ -95,6 +96,13 @@ class TestIngestRecords:
         kb = tmp_path / "kb.csv"
         kb.write_text("", encoding="utf-8")
         with pytest.raises(FormatError, match="header"):
+            ingest_records(kb)
+
+    def test_csv_cell_over_field_limit_rejected(self, tmp_path):
+        kb = tmp_path / "kb.csv"
+        cell = "x" * (csv.field_size_limit() + 1)
+        kb.write_text(f"id,name\nB1,bolt\nB2,{cell}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"{re.escape(str(kb))}: line 3: field larger"):
             ingest_records(kb)
 
     def test_missing_id_gets_ordinal(self, tmp_path):
@@ -371,6 +379,7 @@ class TestPersistence:
             "embedder_not_object",
             "dimension_list",
             "dimension_null",
+            "dimension_zero",
         ],
     )
     def test_broken_index_rejected(self, tmp_path, defect):
@@ -395,6 +404,11 @@ class TestPersistence:
             manifest["embedder"]["dimension"] = [16]
         elif defect == "dimension_null":
             manifest["embedder"]["dimension"] = None
+        elif defect == "dimension_zero":
+            # Header and embedder agree on 0, so only the embedder can refuse it.
+            blob = (tmp_path / "vectors.sfix").read_bytes()
+            (tmp_path / "vectors.sfix").write_bytes(blob[:12] + struct.pack("<I", 0))
+            manifest["embedder"]["dimension"] = 0
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(str(tmp_path))):
             FlatIndex.load(tmp_path)
