@@ -11,6 +11,7 @@ from .core import (
     Failure,
     FieldClaim,
     PartDescription,
+    ProviderResponse,
     SpecSchema,
     ValidationIssue,
     canonicalize_field_name,
@@ -20,8 +21,6 @@ from .core import (
 from .gateway import (
     PromptRequest,
     ProviderConfig,
-    ProviderFailure,
-    ProviderResponse,
     invoke,
     parse_structured_output,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "ProviderConfig",
     "PromptRequest",
     "ProviderResponse",
-    "ProviderFailure",
     "invoke",
     "parse_structured_output",
     "PartRecord",

@@ -251,14 +251,15 @@ def _read_descriptions(source: str, stdin: TextIO) -> list[PartDescription]:
             item_text = item.get("text") if isinstance(item, Mapping) else None
             if not isinstance(item_text, str) or "id" not in item:
                 raise ValueError(f"input item {position} must be an object with id and text")
-            description_id = str(item["id"])
+            description_id, category = item["id"], item.get("category")
+            if not isinstance(description_id, str):
+                raise ValueError(f"input item {position}: id must be a string")
+            if not isinstance(category, (str, type(None))):
+                raise ValueError(f"input item {position}: category must be a string or null")
             if description_id in seen:
                 raise ValueError(f"input item {position} repeats description id {description_id!r}")
             seen.add(description_id)
-            category = item.get("category")
-            descriptions.append(
-                PartDescription(description_id, item_text, str(category) if category else None)
-            )
+            descriptions.append(PartDescription(description_id, item_text, category or None))
     else:
         stripped = (line.strip() for line in text.splitlines())
         for position, line in enumerate((line for line in stripped if line), start=1):

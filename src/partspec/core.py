@@ -24,11 +24,18 @@ __all__ = [
     "PHASE_RESEARCH",
     "MISSING_FIELD",
     "KIND_MISMATCH",
+    "FAIL_TIMEOUT",
+    "FAIL_TRANSPORT",
+    "FAIL_AUTH",
+    "FAIL_RATE_LIMITED",
+    "FAIL_EXHAUSTED",
+    "FAIL_PARSE",
     "PartDescription",
     "SpecSchema",
     "FieldClaim",
     "ValidationIssue",
     "Failure",
+    "ProviderResponse",
     "ExtractionResult",
     "canonicalize_value",
     "canonicalize_field_name",
@@ -259,6 +266,16 @@ class ValidationIssue:
         return {"kind": self.kind, "path": self.path, "expected": self.expected, "found": self.found}
 
 
+# Failure kinds: the first five come from the provider call, the last from
+# reading its output.
+FAIL_TIMEOUT = "timeout"
+FAIL_TRANSPORT = "transport"
+FAIL_AUTH = "auth"
+FAIL_RATE_LIMITED = "rate_limited"
+FAIL_EXHAUSTED = "exhausted_retries"
+FAIL_PARSE = "parse_error"
+
+
 @dataclass(frozen=True)
 class Failure:
     """Terminal failure descriptor attached to an ExtractionResult."""
@@ -268,6 +285,21 @@ class Failure:
 
     def to_dict(self) -> dict[str, str]:
         return {"kind": self.kind, "detail": self.detail}
+
+
+@dataclass(frozen=True)
+class ProviderResponse:
+    """The record of one provider call, whatever its outcome.
+
+    `latency` covers every attempt and backoff; a failed call has
+    `raw_text == ""` and its `failure` set.
+    """
+
+    model_id: str
+    raw_text: str
+    latency: float
+    attempt_count: int
+    failure: Failure | None = None
 
 
 @dataclass(frozen=True)
@@ -281,6 +313,9 @@ class ExtractionResult:
     raw_output: str = ""
     failure: Failure | None = None
     issues: tuple[ValidationIssue, ...] = ()
+    # The provider call this result came from. Like PipelineResult.timings it
+    # holds wall-clock data, so it stays out of to_dict() and equality.
+    call: ProviderResponse | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.failure is not None and (self.claims or self.schema_valid):
@@ -407,6 +442,7 @@ def validate_spec_document(
     model_id: str,
     phase: str,
     raw_output: str | None = None,
+    call: ProviderResponse | None = None,
 ) -> ExtractionResult:
     """Validate one parsed model document against the shared schema.
 
@@ -414,7 +450,8 @@ def validate_spec_document(
     declared kind. Claims are populated for every field in the document;
     fields the schema does not know are retained with in_schema=False so
     surplus attributes stay countable. Never raises: structural problems
-    are collected into the issues report instead.
+    are collected into the issues report instead. `call`, the provider call
+    the document came from, is kept on the result.
     """
     if raw_output is None:
         raw_output = (
@@ -427,7 +464,8 @@ def validate_spec_document(
             claims=(),
             schema_valid=False,
             raw_output=raw_output,
-            failure=Failure("parse_error", "top-level value is not an object"),
+            failure=Failure(FAIL_PARSE, "top-level value is not an object"),
+            call=call,
         )
 
     issues: list[ValidationIssue] = []
@@ -507,6 +545,7 @@ def validate_spec_document(
         schema_valid=not any(issue.path in required for issue in issues),
         raw_output=raw_output,
         issues=tuple(issues),
+        call=call,
     )
 
 

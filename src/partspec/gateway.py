@@ -1,9 +1,11 @@
 """Uniform access to model providers: live HTTP endpoints and replay fixtures.
 
-Every call goes through `invoke`, which owns the retry policy and returns a
-response or a typed failure instead of raising; `call_structured` turns any
-call's outcome into an extraction result. Credentials are only ever read from
-the environment via the variable named in the provider config.
+Every call goes through `invoke`, which owns the retry policy and returns one
+`ProviderResponse` record instead of raising: the text on success, a typed
+`Failure` otherwise, and the latency and attempt count either way.
+`call_structured` turns that record into an extraction result and keeps it as
+the result's `call`. Credentials are only ever read from the environment via
+the variable named in the provider config.
 """
 
 from __future__ import annotations
@@ -23,7 +25,19 @@ from typing import Any, Protocol
 
 import requests
 
-from .core import ExtractionResult, Failure, SpecSchema, validate_spec_document
+from .core import (
+    FAIL_AUTH,
+    FAIL_EXHAUSTED,
+    FAIL_PARSE,
+    FAIL_RATE_LIMITED,
+    FAIL_TIMEOUT,
+    FAIL_TRANSPORT,
+    ExtractionResult,
+    Failure,
+    ProviderResponse,
+    SpecSchema,
+    validate_spec_document,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -40,7 +54,6 @@ __all__ = [
     "ProviderConfig",
     "PromptRequest",
     "ProviderResponse",
-    "ProviderFailure",
     "ReplayBackend",
     "HttpBackend",
     "fixture_key",
@@ -59,12 +72,6 @@ ROLE_EXTRACTION = "extraction"
 ROLE_RESEARCH = "research"
 ROLE_SYNTHESIS = "synthesis"
 ROLE_TAGS = frozenset({ROLE_EXTRACTION, ROLE_RESEARCH, ROLE_SYNTHESIS})
-
-FAIL_TIMEOUT = "timeout"
-FAIL_TRANSPORT = "transport"
-FAIL_AUTH = "auth"
-FAIL_RATE_LIMITED = "rate_limited"
-FAIL_EXHAUSTED = "exhausted_retries"
 
 BACKOFF_BASE_S = 0.5
 BACKOFF_FACTOR = 2.0
@@ -132,22 +139,6 @@ class PromptRequest:
     def __post_init__(self) -> None:
         if not self.user_text:
             raise ValueError("user_text must be non-empty")
-
-
-@dataclass(frozen=True)
-class ProviderResponse:
-    model_id: str
-    raw_text: str
-    latency: float
-    attempt_count: int
-
-
-@dataclass(frozen=True)
-class ProviderFailure:
-    model_id: str
-    kind: str
-    detail: str
-    attempt_count: int
 
 
 class BackendError(Exception):
@@ -291,43 +282,39 @@ def invoke(
     backend: Backend | None = None,
     sleep: Callable[[float], None] = time.sleep,
     env: Mapping[str, str] | None = None,
-) -> ProviderResponse | ProviderFailure:
+) -> ProviderResponse:
     """Call one provider with retries; never raises for provider trouble.
 
     Transport and rate-limit errors retry with exponential backoff (0.5s
     base, doubling) up to max_retries extra attempts; timeouts and auth
     problems fail immediately. A retry budget that runs out reports
-    "exhausted_retries" with the last underlying error in the detail.
+    "exhausted_retries" with the last underlying error in the detail. Every
+    outcome carries the latency and the attempt count.
     """
     if backend is None:
         backend = resolve_backend(config, env)
     started = time.perf_counter()
     delay = BACKOFF_BASE_S
     attempts = 0
+    text, failure = "", None
     while True:
         attempts += 1
         try:
             text = backend.complete(request)
         except BackendError as exc:
             if not exc.retryable:
-                return ProviderFailure(config.model_id, exc.failure_kind, str(exc), attempts)
-            if attempts > config.max_retries:
-                return ProviderFailure(
-                    config.model_id,
-                    FAIL_EXHAUSTED,
-                    f"{exc.failure_kind}: {exc}",
-                    attempts,
-                )
-            logger.debug("retrying %s after %s (attempt %d)", config.model_id, exc, attempts)
-            sleep(delay)
-            delay *= BACKOFF_FACTOR
+                failure = Failure(exc.failure_kind, str(exc))
+            elif attempts > config.max_retries:
+                failure = Failure(FAIL_EXHAUSTED, f"{exc.failure_kind}: {exc}")
+            else:
+                logger.debug("retrying %s after %s (attempt %d)", config.model_id, exc, attempts)
+                sleep(delay)
+                delay *= BACKOFF_FACTOR
+                continue
         except Exception as exc:  # noqa: BLE001 - a broken backend must not sink the phase
-            return ProviderFailure(
-                config.model_id, FAIL_TRANSPORT, f"unexpected backend error: {exc}", attempts
-            )
-        else:
-            latency = time.perf_counter() - started
-            return ProviderResponse(config.model_id, text, latency, attempts)
+            failure = Failure(FAIL_TRANSPORT, f"unexpected backend error: {exc}")
+        latency = time.perf_counter() - started
+        return ProviderResponse(config.model_id, text, latency, attempts, failure)
 
 
 def extract_first_json_object(text: str) -> Any | None:
@@ -353,13 +340,18 @@ def parse_structured_output(
 
     Output with no decodable JSON object, or nested too deeply to walk,
     becomes a parse_error failure; the raw text is preserved either way for
-    audit.
+    audit, and the response itself is kept as the result's `call`.
     """
     try:
         document = extract_first_json_object(response.raw_text)
         if document is not None:
             return validate_spec_document(
-                document, schema, response.model_id, phase, raw_output=response.raw_text
+                document,
+                schema,
+                response.model_id,
+                phase,
+                raw_output=response.raw_text,
+                call=response,
             )
         detail = "no JSON object found in model output"
     except RecursionError:
@@ -370,7 +362,8 @@ def parse_structured_output(
         claims=(),
         schema_valid=False,
         raw_output=response.raw_text,
-        failure=Failure("parse_error", detail),
+        failure=Failure(FAIL_PARSE, detail),
+        call=response,
     )
 
 
@@ -384,20 +377,29 @@ def call_structured(
 ) -> ExtractionResult:
     """Call one provider and record the outcome as an extraction result.
 
-    `invoke_fn(provider, request)` makes the call; `invoke` reads credentials
-    from `os.environ`, and `partial(invoke, env=...)` binds another mapping.
-    Never raises: a response is parsed and validated, a ProviderFailure keeps
-    its kind and detail, and an exception from anywhere in the call becomes a
+    `invoke_fn(provider, request)` makes the call and returns its
+    ProviderResponse; `invoke` reads credentials from `os.environ`, and
+    `partial(invoke, env=...)` binds another mapping. Never raises: a
+    response is parsed and validated, a failed record's Failure goes onto the
+    result as it is, and an exception from anywhere in the call becomes a
     transport failure. Failed results carry no claims and are schema-invalid.
+    The result's `call` is the record `invoke_fn` returned, or None when it
+    raised.
     """
+    outcome = None
     try:
         outcome = invoke_fn(provider, request)
-        if isinstance(outcome, ProviderResponse):
+        if outcome.failure is None:
             return parse_structured_output(outcome, schema, phase)
-        failure = Failure(outcome.kind, outcome.detail)
+        failure = outcome.failure
     except Exception as exc:  # noqa: BLE001 - one bad provider must not sink the phase
         logger.warning("provider %s raised %s", provider.model_id, exc, exc_info=True)
         failure = Failure(FAIL_TRANSPORT, f"unhandled provider error: {exc}")
     return ExtractionResult(
-        model_id=provider.model_id, phase=phase, claims=(), schema_valid=False, failure=failure
+        model_id=provider.model_id,
+        phase=phase,
+        claims=(),
+        schema_valid=False,
+        failure=failure,
+        call=outcome,
     )

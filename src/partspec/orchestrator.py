@@ -173,9 +173,14 @@ class EnsembleConfig:
         return cls.from_dict(read_json_file(path, ConfigError), base_dir=path.parent)
 
 
-# A JSON value for a field whose default has one of these types is converted
-# to that type: numbers to int or float, arrays to tuple or frozenset.
-_JSON_CONVERSIONS = (int, float, tuple, frozenset)
+# A JSON value for a field whose default has one of these types must be of one
+# of the listed types, and is converted to the field's type.
+_JSON_CONVERSIONS: dict[type, tuple[tuple[type, ...], str]] = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    tuple: ((list, tuple), "an array"),
+    frozenset: ((list, tuple), "an array"),
+}
 
 
 def _json_kwargs(cls: type, data: Any, what: str) -> dict[str, Any]:
@@ -194,9 +199,12 @@ def _json_kwargs(cls: type, data: Any, what: str) -> dict[str, Any]:
     for name, value in data.items():
         convert = type(declared[name].default)
         if convert in _JSON_CONVERSIONS:
-            if convert in (tuple, frozenset) and not isinstance(value, (list, tuple)):
-                # tuple("abc") would quietly read a string as its characters.
-                raise ConfigError(f"{name} must be an array")
+            accepted, noun = _JSON_CONVERSIONS[convert]
+            # Converting anything else would quietly misread it: int(2.9) is 2,
+            # int(True) is 1 (bool is an int to isinstance), and tuple("abc")
+            # is the string's characters.
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ConfigError(f"{name} must be {noun}")
             try:
                 kwargs[name] = convert(value)
             except (TypeError, ValueError, OverflowError) as exc:

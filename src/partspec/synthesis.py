@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 from . import gateway
@@ -316,15 +316,11 @@ def _consistency_pass(
         if current is None or claim.canonical_value == current.canonical_value:
             continue
         aligned = rag_alignment_indicator(claim.canonical_value, context)
-        adjusted[claim.field] = ResolvedField(
-            field=current.field,
+        adjusted[claim.field] = replace(
+            current,
             value=claim.value,
             canonical_value=claim.canonical_value,
-            agreement=current.agreement,
-            mean_confidence=current.mean_confidence,
             rag_aligned=aligned,
             confidence=field_confidence(current.agreement, current.mean_confidence, aligned, weights),
-            supporters=current.supporters,
-            tie_break_used=current.tie_break_used,
         )
     return adjusted, f"applied: {config.synthesis_model}"

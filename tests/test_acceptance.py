@@ -23,6 +23,7 @@ from partspec.core import (
     PHASE_EXTRACTION,
     PHASE_RESEARCH,
     ExtractionResult,
+    Failure,
     FieldClaim,
     PartDescription,
     SpecSchema,
@@ -30,7 +31,6 @@ from partspec.core import (
 from partspec.gateway import (
     KIND_REPLAY,
     ProviderConfig,
-    ProviderFailure,
     ProviderResponse,
     invoke,
 )
@@ -332,7 +332,9 @@ def test_criterion_6_determinism_and_faults(corpus, capfd):
 
                 def faulty(provider, request, env=None, _failing=failing):
                     if provider.model_id in _failing:
-                        return ProviderFailure(provider.model_id, "timeout", "injected", 1)
+                        return ProviderResponse(
+                            provider.model_id, "", 0.0, 1, Failure("timeout", "injected")
+                        )
                     return invoke(provider, request, env=env)
 
                 result = run_pipeline(description, config, index, schema, invoke_fn=faulty)

@@ -190,8 +190,11 @@ class TestExtract:
     @pytest.mark.parametrize(
         "item, message",
         [({"id": "d001", "text": "M4 washer"}, "repeats description id 'd001'"),
-         ({"id": "x1", "text": None}, "id and text")],
-        ids=["duplicate_id", "null_text"],
+         ({"id": "x1", "text": None}, "id and text"),
+         ({"id": None, "text": "M4 washer"}, "item 24: id must be a string"),
+         ({"id": {"a": 1}, "text": "M4 washer"}, "item 24: id must be a string"),
+         ({"id": "x1", "text": "M4 washer", "category": 5}, "category must be a string or null")],
+        ids=["duplicate_id", "null_text", "null_id", "object_id", "number_category"],
     )
     def test_bad_input_item_is_usage_error(self, corpus, tmp_path, item, message):
         items = json.loads(corpus.descriptions_path.read_text(encoding="utf-8"))

@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 import hashlib
+import json
+import time
+from functools import partial
 
 import pytest
 from conftest import ScriptedHandler
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partspec.core import PHASE_EXTRACTION, SpecSchema
+from partspec.core import (
+    FAIL_PARSE,
+    PHASE_EXTRACTION,
+    ExtractionResult,
+    Failure,
+    SpecSchema,
+)
 from partspec.gateway import (
     FAIL_AUTH,
     FAIL_EXHAUSTED,
@@ -23,7 +32,6 @@ from partspec.gateway import (
     HttpBackend,
     PromptRequest,
     ProviderConfig,
-    ProviderFailure,
     ProviderResponse,
     RateLimitedError,
     ReplayBackend,
@@ -102,15 +110,15 @@ class TestReplayBackend:
         path.parent.mkdir(parents=True)
         path.write_text('{"part_name": "bolt"}', encoding="utf-8")
         outcome = invoke(config, REQUEST)
-        assert isinstance(outcome, ProviderResponse)
+        assert outcome.failure is None
         assert outcome.raw_text == '{"part_name": "bolt"}'
         assert outcome.attempt_count == 1
 
     def test_missing_fixture_fails_without_retry(self, tmp_path):
         sleeps: list[float] = []
         outcome = invoke(_replay_config(tmp_path), REQUEST, sleep=sleeps.append)
-        assert isinstance(outcome, ProviderFailure)
-        assert outcome.kind == FAIL_TRANSPORT
+        assert outcome.failure is not None
+        assert outcome.failure.kind == FAIL_TRANSPORT
         assert outcome.attempt_count == 1
         assert sleeps == []
 
@@ -135,14 +143,14 @@ class TestRetryPolicy:
         backend = _FlakyBackend([RateLimitedError("429"), RateLimitedError("429")])
         sleeps: list[float] = []
         outcome = invoke(_replay_config(tmp_path), REQUEST, backend=backend, sleep=sleeps.append)
-        assert isinstance(outcome, ProviderResponse)
+        assert outcome.failure is None
         assert outcome.attempt_count == 3
         assert sleeps == [0.5, 1.0]
 
     def test_retries_transport(self, tmp_path):
         backend = _FlakyBackend([TransportError("reset")])
         outcome = invoke(_replay_config(tmp_path), REQUEST, backend=backend, sleep=lambda s: None)
-        assert isinstance(outcome, ProviderResponse)
+        assert outcome.failure is None
         assert outcome.attempt_count == 2
 
     def test_exhausted_retries(self, tmp_path):
@@ -151,10 +159,10 @@ class TestRetryPolicy:
         outcome = invoke(
             _replay_config(tmp_path, max_retries=2), REQUEST, backend=backend, sleep=sleeps.append
         )
-        assert isinstance(outcome, ProviderFailure)
-        assert outcome.kind == FAIL_EXHAUSTED
+        assert outcome.failure is not None
+        assert outcome.failure.kind == FAIL_EXHAUSTED
         assert outcome.attempt_count == 3
-        assert "transport" in outcome.detail
+        assert "transport" in outcome.failure.detail
         assert sleeps == [0.5, 1.0]
         assert backend.calls == 3
 
@@ -163,25 +171,25 @@ class TestRetryPolicy:
         outcome = invoke(
             _replay_config(tmp_path, max_retries=1), REQUEST, backend=backend, sleep=lambda s: None
         )
-        assert isinstance(outcome, ProviderFailure)
-        assert outcome.kind == FAIL_EXHAUSTED
-        assert FAIL_RATE_LIMITED in outcome.detail
+        assert outcome.failure is not None
+        assert outcome.failure.kind == FAIL_EXHAUSTED
+        assert FAIL_RATE_LIMITED in outcome.failure.detail
         assert outcome.attempt_count == 2
 
     def test_auth_fails_immediately(self, tmp_path):
         backend = _FlakyBackend([AuthError("401")] * 10)
         sleeps: list[float] = []
         outcome = invoke(_replay_config(tmp_path), REQUEST, backend=backend, sleep=sleeps.append)
-        assert isinstance(outcome, ProviderFailure)
-        assert outcome.kind == FAIL_AUTH
+        assert outcome.failure is not None
+        assert outcome.failure.kind == FAIL_AUTH
         assert outcome.attempt_count == 1
         assert sleeps == []
 
     def test_timeout_fails_immediately(self, tmp_path):
         backend = _FlakyBackend([BackendTimeout("slow")] * 10)
         outcome = invoke(_replay_config(tmp_path), REQUEST, backend=backend, sleep=lambda s: None)
-        assert isinstance(outcome, ProviderFailure)
-        assert outcome.kind == FAIL_TIMEOUT
+        assert outcome.failure is not None
+        assert outcome.failure.kind == FAIL_TIMEOUT
         assert outcome.attempt_count == 1
 
     def test_zero_retries_single_attempt(self, tmp_path):
@@ -189,15 +197,40 @@ class TestRetryPolicy:
         outcome = invoke(
             _replay_config(tmp_path, max_retries=0), REQUEST, backend=backend, sleep=lambda s: None
         )
-        assert isinstance(outcome, ProviderFailure)
+        assert outcome.failure is not None
         assert outcome.attempt_count == 1
 
     def test_unexpected_exception_contained(self, tmp_path):
         backend = _FlakyBackend([RuntimeError("boom")])
         outcome = invoke(_replay_config(tmp_path), REQUEST, backend=backend, sleep=lambda s: None)
-        assert isinstance(outcome, ProviderFailure)
-        assert outcome.kind == FAIL_TRANSPORT
-        assert "boom" in outcome.detail
+        assert outcome.failure is not None
+        assert outcome.failure.kind == FAIL_TRANSPORT
+        assert "boom" in outcome.failure.detail
+
+    @pytest.mark.parametrize(
+        ("errors", "kind", "attempts"),
+        [
+            ([BackendTimeout("slow")], FAIL_TIMEOUT, 1),
+            ([TransportError("reset")] * 3, FAIL_EXHAUSTED, 3),
+        ],
+    )
+    def test_failed_call_record_reaches_the_result(self, tmp_path, errors, kind, attempts):
+        class _SlowBackend(_FlakyBackend):
+            def complete(self, request):
+                time.sleep(0.005)
+                return super().complete(request)
+
+        invoke_fn = partial(invoke, backend=_SlowBackend(errors), sleep=lambda s: None)
+        config = _replay_config(tmp_path, max_retries=2)
+        result = call_structured(
+            config, REQUEST, SpecSchema.default(), PHASE_EXTRACTION, invoke_fn=invoke_fn
+        )
+        call = result.call
+        assert call is not None and call.failure is result.failure
+        assert call.failure.kind == kind
+        assert call.attempt_count == attempts
+        assert call.latency >= 0.005 * attempts
+        assert call.raw_text == ""
 
 
 def _http_config(endpoint, **overrides):
@@ -215,62 +248,62 @@ def _http_config(endpoint, **overrides):
 class TestHttpBackend:
     def test_success(self, http_server):
         outcome = invoke(_http_config(http_server), REQUEST, sleep=lambda s: None)
-        assert isinstance(outcome, ProviderResponse)
+        assert outcome.failure is None
         assert outcome.raw_text == '{"part_name": "bolt"}'
 
     def test_rate_limited_then_recovers(self, http_server):
         ScriptedHandler.script = [429, 429, 200]
         outcome = invoke(_http_config(http_server), REQUEST, sleep=lambda s: None)
-        assert isinstance(outcome, ProviderResponse)
+        assert outcome.failure is None
         assert outcome.attempt_count == 3
 
     def test_auth_status_maps_to_auth_failure(self, http_server):
         ScriptedHandler.script = [401]
         outcome = invoke(_http_config(http_server), REQUEST, sleep=lambda s: None)
-        assert isinstance(outcome, ProviderFailure)
-        assert outcome.kind == FAIL_AUTH
+        assert outcome.failure is not None
+        assert outcome.failure.kind == FAIL_AUTH
         assert outcome.attempt_count == 1
 
     def test_server_error_retries_then_exhausts(self, http_server):
         ScriptedHandler.script = [500, 500, 500]
         outcome = invoke(_http_config(http_server), REQUEST, sleep=lambda s: None)
-        assert isinstance(outcome, ProviderFailure)
-        assert outcome.kind == FAIL_EXHAUSTED
+        assert outcome.failure is not None
+        assert outcome.failure.kind == FAIL_EXHAUSTED
         assert outcome.attempt_count == 3
 
     def test_timeout_maps_to_timeout_failure(self, http_server):
         ScriptedHandler.script = [-1]
         config = _http_config(http_server, timeout=0.2, max_retries=0)
         outcome = invoke(config, REQUEST, sleep=lambda s: None)
-        assert isinstance(outcome, ProviderFailure)
-        assert outcome.kind == FAIL_TIMEOUT
+        assert outcome.failure is not None
+        assert outcome.failure.kind == FAIL_TIMEOUT
 
     def test_malformed_body_is_transport(self, http_server):
         ScriptedHandler.script = [-2]
         config = _http_config(http_server, max_retries=0)
         outcome = invoke(config, REQUEST, sleep=lambda s: None)
-        assert isinstance(outcome, ProviderFailure)
+        assert outcome.failure is not None
         # A zero retry budget means the first retryable error exhausts it.
-        assert outcome.kind == FAIL_EXHAUSTED
-        assert FAIL_TRANSPORT in outcome.detail
+        assert outcome.failure.kind == FAIL_EXHAUSTED
+        assert FAIL_TRANSPORT in outcome.failure.detail
 
     def test_connection_refused_is_transport(self):
         config = _http_config("http://127.0.0.1:1/v1/chat/completions", max_retries=0)
         outcome = invoke(config, REQUEST, sleep=lambda s: None)
-        assert isinstance(outcome, ProviderFailure)
-        assert outcome.kind in (FAIL_TRANSPORT, FAIL_EXHAUSTED)
+        assert outcome.failure is not None
+        assert outcome.failure.kind in (FAIL_TRANSPORT, FAIL_EXHAUSTED)
 
     def test_credentials_read_from_env_mapping(self, http_server):
         config = _http_config(http_server, credentials_env="PART_KEY")
         outcome = invoke(config, REQUEST, env={"PART_KEY": "sekrit"}, sleep=lambda s: None)
-        assert isinstance(outcome, ProviderResponse)
+        assert outcome.failure is None
         assert "Bearer sekrit" in ScriptedHandler.seen_auth
 
     def test_missing_credentials_is_auth_failure(self, http_server):
         config = _http_config(http_server, credentials_env="PART_KEY")
         outcome = invoke(config, REQUEST, env={}, sleep=lambda s: None)
-        assert isinstance(outcome, ProviderFailure)
-        assert outcome.kind == FAIL_AUTH
+        assert outcome.failure is not None
+        assert outcome.failure.kind == FAIL_AUTH
         assert outcome.attempt_count == 1
 
     def test_payload_shape(self, http_server):
@@ -293,7 +326,7 @@ class TestHttpBackend:
         config = _http_config(keepalive_server.url)
         for _ in range(2):
             outcome = invoke(config, REQUEST, sleep=lambda s: None)
-            assert isinstance(outcome, ProviderResponse)
+            assert outcome.failure is None
         assert keepalive_server.connections == 1
 
 
@@ -361,7 +394,8 @@ class TestParseStructuredOutput:
         config = _replay_config("unused", model_id="m1")
 
         def timing_out(provider, request, env=None):
-            return ProviderFailure(provider.model_id, FAIL_TIMEOUT, "no reply in 5s", 1)
+            failure = Failure(FAIL_TIMEOUT, "no reply in 5s")
+            return ProviderResponse(provider.model_id, "", 0.0, 1, failure)
 
         result = call_structured(
             config, REQUEST, SpecSchema.default(), PHASE_EXTRACTION, invoke_fn=timing_out
@@ -370,3 +404,68 @@ class TestParseStructuredOutput:
         assert result.failure is not None
         assert result.failure.kind == FAIL_TIMEOUT
         assert result.claims == ()
+
+
+_VALID_TEXT = json.dumps(
+    {
+        "part_name": "Bolt",
+        "manufacturer": "Acme",
+        "part_number": "HB-1",
+        "specifications": {"material": "steel"},
+    }
+)
+_FAILURE_KINDS = [
+    FAIL_TIMEOUT,
+    FAIL_TRANSPORT,
+    FAIL_AUTH,
+    FAIL_RATE_LIMITED,
+    FAIL_EXHAUSTED,
+    FAIL_PARSE,
+]
+_EXCEPTIONS = [RuntimeError, ValueError, KeyError, OSError, TransportError, BackendTimeout]
+
+
+class TestCallStructuredProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.just("text"), st.one_of(st.text(), st.just(_VALID_TEXT))),
+            st.tuples(
+                st.just("failure"), st.builds(Failure, st.sampled_from(_FAILURE_KINDS), st.text())
+            ),
+            st.tuples(
+                st.just("raise"),
+                st.builds(lambda cls, msg: cls(msg), st.sampled_from(_EXCEPTIONS), st.text()),
+            ),
+        ),
+        st.floats(min_value=0.0, max_value=1e3),
+        st.integers(min_value=1, max_value=10),
+    )
+    def test_one_path_for_every_outcome(self, action, latency, attempts):
+        mode, payload = action
+        returned = []
+
+        def invoke_fn(provider, request):
+            if mode == "raise":
+                raise payload
+            text, failure = (payload, None) if mode == "text" else ("", payload)
+            returned.append(ProviderResponse(provider.model_id, text, latency, attempts, failure))
+            return returned[0]
+
+        config = _replay_config("unused", model_id="m1")
+        result = call_structured(
+            config, REQUEST, SpecSchema.default(), PHASE_EXTRACTION, invoke_fn=invoke_fn
+        )
+        assert result.model_id == "m1"
+        if result.failure is not None:
+            assert result.claims == () and not result.schema_valid
+        if mode == "failure":
+            assert result.failure is payload
+        if mode == "raise":
+            assert result.call is None
+            assert result.failure == Failure(FAIL_TRANSPORT, f"unhandled provider error: {payload}")
+        else:
+            assert result.call is returned[0]
+        data = result.to_dict()
+        assert "call" not in data
+        assert ExtractionResult.from_dict(data) == result

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from partspec.core import (
     PHASE_EXTRACTION,
     PHASE_RESEARCH,
+    Failure,
     PartDescription,
     SpecSchema,
     validate_spec_document,
@@ -25,7 +26,6 @@ from partspec.core import (
 from partspec.gateway import (
     KIND_REPLAY,
     ProviderConfig,
-    ProviderFailure,
     ProviderResponse,
 )
 from partspec.orchestrator import (
@@ -263,6 +263,10 @@ class TestEnsembleConfig:
             (0, "timeout", math.inf),
             (0, "role_tags", "extraction"),
             (None, "research_models", "abc"),
+            (None, "min_quorum", 2.9),
+            (None, "k", True),
+            (0, "max_retries", 1.7),
+            (None, "threshold", False),
         ],
         ids=[
             "fixtures_dir_not_string",
@@ -275,6 +279,10 @@ class TestEnsembleConfig:
             "infinite_timeout",
             "string_role_tags",
             "string_research_models",
+            "fractional_min_quorum",
+            "boolean_k",
+            "fractional_max_retries",
+            "boolean_threshold",
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, entry, key, value):
@@ -390,7 +398,7 @@ class TestExtractPhase:
     def test_provider_failure_becomes_result(self):
         def flaky(provider, request, env=None):
             if provider.model_id == "bravo":
-                return ProviderFailure("bravo", "timeout", "5s elapsed", 1)
+                return ProviderResponse("bravo", "", 0.0, 1, Failure("timeout", "5s elapsed"))
             return ProviderResponse(provider.model_id, json.dumps(_FULL_DOC), 0.0, 1)
 
         results, _ = extract_phase(
@@ -541,7 +549,7 @@ class TestRunPipeline:
         def failing(provider, request, env=None):
             if provider.model_id == "alpha":
                 return ProviderResponse(provider.model_id, json.dumps(_FULL_DOC), 0.0, 1)
-            return ProviderFailure(provider.model_id, "timeout", "", 1)
+            return ProviderResponse(provider.model_id, "", 0.0, 1, Failure("timeout", ""))
 
         result = run_pipeline(
             DESCRIPTION, _config(), _index(), SpecSchema.default(), invoke_fn=failing

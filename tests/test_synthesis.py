@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from partspec.core import (
     PHASE_EXTRACTION,
     PHASE_RESEARCH,
+    Failure,
     FieldClaim,
     SpecSchema,
     validate_spec_document,
@@ -19,7 +20,6 @@ from partspec.core import (
 from partspec.gateway import (
     KIND_REPLAY,
     ProviderConfig,
-    ProviderFailure,
     ProviderResponse,
 )
 from partspec.orchestrator import EnsembleConfig
@@ -393,7 +393,8 @@ class TestSynthesizeSpec:
         results = [_result(_DOC_A, "alpha"), _result(_DOC_B, "bravo")]
 
         def failing_invoke(provider, request, env=None):
-            return ProviderFailure(provider.model_id, "exhausted_retries", "503", 3)
+            failure = Failure("exhausted_retries", "503")
+            return ProviderResponse(provider.model_id, "", 0.0, 3, failure)
 
         spec = synthesize_spec(
             results, EMPTY_CONTEXT, _config(), SpecSchema.default(), invoke_fn=failing_invoke
