@@ -19,14 +19,14 @@ import logging
 import os
 import sys
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Any, TextIO
 
 from .core import PartDescription, SpecSchema, decode_json
-from .gateway import invoke
+from .gateway import KIND_REPLAY, invoke
 from .metrics import GroundTruthManifest, evaluate_run, load_runs_dir
 from .orchestrator import EnsembleConfig, PipelineResult, run_pipeline
 from .retrieval import (
@@ -43,6 +43,13 @@ EXIT_USAGE = 2
 # Descriptions one `extract` batch runs at once. Each holds at most one call
 # per roster entry in flight, so the call pool is this times the roster.
 BATCH_WIDTH = 8
+
+
+class _CallingThread(Executor):
+    """Runs each mapped call in turn on the thread that iterates the map."""
+
+    map = map
+
 
 # Bad input of any kind is a usage error; ConfigError, FormatError and
 # MetricError are ValueErrors too.
@@ -185,21 +192,20 @@ def _cmd_extract(
     # Credentials are read from `env` here and nowhere else in the pipeline.
     invoke_fn = partial(invoke, env=env)
 
-    # Batch tasks wait on call tasks and call tasks wait on nothing, so two
-    # pools cannot deadlock at any size. map keeps the input order.
-    with (
-        ThreadPoolExecutor(BATCH_WIDTH * len(config.roster)) as calls,
-        ThreadPoolExecutor(BATCH_WIDTH) as batch,
-    ):
-        run_one = partial(
-            run_pipeline,
-            config=config,
-            index=index,
-            schema=schema,
-            invoke_fn=invoke_fn,
-            executor=calls,
-        )
-        results: list[PipelineResult] = list(batch.map(run_one, descriptions))
+    run_one = partial(run_pipeline, config=config, index=index, schema=schema, invoke_fn=invoke_fn)
+    results: list[PipelineResult]
+    if all(provider.kind == KIND_REPLAY for provider in config.roster):
+        # A replay call is a file read plus parsing and waits on nothing, so
+        # threads could only take turns at the interpreter lock.
+        results = list(map(partial(run_one, executor=_CallingThread()), descriptions))
+    else:
+        # Batch tasks wait on call tasks and call tasks wait on nothing, so
+        # two pools cannot deadlock at any size. map keeps the input order.
+        with (
+            ThreadPoolExecutor(BATCH_WIDTH * len(config.roster)) as calls,
+            ThreadPoolExecutor(BATCH_WIDTH) as batch,
+        ):
+            results = list(batch.map(partial(run_one, executor=calls), descriptions))
 
     documents: list[dict[str, Any]] = []
     for result in results:

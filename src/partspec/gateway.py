@@ -21,9 +21,7 @@ import time
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Any, Protocol
 
 from .core import (
     FAIL_AUTH,
@@ -38,6 +36,9 @@ from .core import (
     SpecSchema,
     validate_spec_document,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -216,6 +217,8 @@ class HttpBackend:
         self._session = session if session is not None else _thread_session()
 
     def complete(self, request: PromptRequest) -> str:
+        import requests  # only HTTP calls pay for loading requests
+
         config = self._config
         headers = {"Content-Type": "application/json"}
         if config.credentials_env:
@@ -265,6 +268,8 @@ _thread_sessions = threading.local()
 def _thread_session() -> requests.Session:
     session = getattr(_thread_sessions, "session", None)
     if session is None:
+        import requests
+
         session = _thread_sessions.session = requests.Session()
     return session
 

@@ -360,7 +360,7 @@ class FlatIndex:
             ],
         }
         (directory / MANIFEST_FILENAME).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8"
         )
 
     @classmethod

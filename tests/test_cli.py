@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+import threading
 import time
 from collections import Counter
-from functools import reduce, wraps
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial, reduce, wraps
 from operator import getitem
+from pathlib import Path
 
 import pytest
 from conftest import JSON_VALUES, ScriptedHandler, finishes_within
@@ -18,7 +24,9 @@ from hypothesis import strategies as st
 
 from partspec import cli, gateway, orchestrator, retrieval, synthesis
 from partspec.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, run_command
+from partspec.core import PartDescription, SpecSchema
 from partspec.metrics import load_system_run
+from partspec.orchestrator import EnsembleConfig, run_pipeline
 from partspec.retrieval import FlatIndex
 
 
@@ -405,6 +413,105 @@ class TestConcurrentBatch:
             assert outcome.exit_code == EXIT_OK
             outputs.append((outcome.stdout, run_path.read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+class TestReplayBatch:
+    def test_every_call_runs_on_the_calling_thread(self, corpus, monkeypatch):
+        threads = []
+        complete = gateway.ReplayBackend.complete
+
+        def recording(backend, request):
+            threads.append(threading.get_ident())
+            return complete(backend, request)
+
+        monkeypatch.setattr(gateway.ReplayBackend, "complete", recording)
+        assert run_command(_extract_args(corpus)).exit_code == EXIT_OK
+        assert len(threads) > len(corpus.cases)
+        assert set(threads) == {threading.get_ident()}
+
+    def test_same_bytes_as_a_shared_call_pool(self, corpus, tmp_path):
+        run_path = tmp_path / "run.json"
+        outcome = run_command(_extract_args(corpus, "--runs-out", str(run_path)))
+        assert outcome.exit_code == EXIT_OK
+        config = EnsembleConfig.from_file(corpus.config_path)
+        index = FlatIndex.load(corpus.index_dir)
+        run_one = partial(run_pipeline, config=config, index=index, schema=SpecSchema.default())
+        descriptions = [PartDescription(c.description_id, c.text, c.category) for c in corpus.cases]
+        with (
+            ThreadPoolExecutor(cli.BATCH_WIDTH * len(config.roster)) as calls,
+            ThreadPoolExecutor(cli.BATCH_WIDTH) as batch,
+        ):
+            results = list(batch.map(partial(run_one, executor=calls), descriptions))
+        documents = [result.final.to_dict() for result in results]
+        assert outcome.stdout == json.dumps(documents, indent=2, sort_keys=True) + "\n"
+        run = json.loads(run_path.read_text(encoding="utf-8"))
+        assert run["descriptions"] == [json.loads(result.to_json()) for result in results]
+        assert run_path.read_text(encoding="utf-8") == json.dumps(run, sort_keys=True) + "\n"
+
+    def test_one_http_entry_keeps_descriptions_overlapping(
+        self, corpus, tmp_path, keepalive_server
+    ):
+        texts = [f"M{n} hex bolt, steel" for n in range(4, 12)]
+        args = _http_extract_args(corpus, tmp_path, keepalive_server.url, texts)
+        config_path = Path(args[args.index("--config") + 1])
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        # The replay entries find no fixture for these prompts and fail at
+        # once; the one HTTP extractor carries the quorum.
+        config["roster"][1:] = [
+            {
+                "model_id": f"replay-{n}",
+                "kind": "replay_fixture",
+                "fixtures_dir": str(corpus.fixtures_dir),
+                "role_tags": ["extraction"],
+            }
+            for n in (1, 2)
+        ]
+        config["min_quorum"] = 1
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert run_command(args).exit_code == EXIT_OK
+        keepalive_server.delay = lambda user_text: _CALL_DELAY_S
+        started = time.perf_counter()
+        outcome = run_command(args)
+        elapsed = time.perf_counter() - started
+        assert outcome.exit_code == EXIT_OK
+        assert all("fields" in d for d in json.loads(outcome.stdout))
+        assert elapsed < len(texts) * 2 * _CALL_DELAY_S / 2
+
+
+class TestStartup:
+    def test_requests_loaded_only_for_http_calls(self, corpus, tmp_path):
+        script = """
+import sys
+from partspec.cli import run_command
+
+def check(step):
+    if "requests" in sys.modules:
+        sys.exit(f"requests imported by {step}")
+
+check("import partspec.cli")
+kb, index, descriptions, config = sys.argv[1:]
+built = run_command(["index", "build", "--kb", kb, "--out", index])
+check("index build")
+extracted = run_command(
+    ["extract", "--input", descriptions, "--config", config, "--index", index]
+)
+check("extract with replay providers")
+sys.exit(built.exit_code or extracted.exit_code)
+"""
+        src = str(Path(cli.__file__).parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = [
+            str(corpus.kb_path), str(tmp_path / "index"),
+            str(corpus.descriptions_path), str(corpus.config_path),
+        ]
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestEval:

@@ -334,6 +334,24 @@ class TestPersistence:
             "steel bolt size 4", 8, 0.1
         )
 
+    def test_indented_manifest_still_loads(self, tmp_path):
+        index = FlatIndex.build(_corpus(40), HashTrigramEmbedder(64))
+        first_dir, second_dir = tmp_path / "first", tmp_path / "second"
+        index.save(first_dir)
+        compact = (first_dir / "manifest.json").read_text(encoding="utf-8")
+        manifest = json.loads(compact)
+        assert compact == json.dumps(manifest, sort_keys=True) + "\n"
+        # Indexes saved before the manifest was written compactly.
+        (first_dir / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        reloaded = FlatIndex.load(first_dir)
+        assert reloaded.search("steel bolt size 4", 8, 0.1) == index.search(
+            "steel bolt size 4", 8, 0.1
+        )
+        reloaded.save(second_dir)
+        assert (second_dir / "manifest.json").read_text(encoding="utf-8") == compact
+
     def test_bad_magic_rejected(self, tmp_path):
         index = FlatIndex.build(_corpus(2), HashTrigramEmbedder(16))
         index.save(tmp_path)
