@@ -18,10 +18,11 @@ import os
 import re
 import threading
 import time
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, MutableMapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Protocol
+from typing import Any, Protocol
+from urllib.parse import unquote, urlsplit
 
 from .core import (
     FAIL_AUTH,
@@ -36,9 +37,6 @@ from .core import (
     SpecSchema,
     validate_spec_document,
 )
-
-if TYPE_CHECKING:
-    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -78,6 +76,7 @@ BACKOFF_BASE_S = 0.5
 BACKOFF_FACTOR = 2.0
 
 _ENV_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DEFAULT_PORTS = {"http": 80, "https": 443}
 
 
 @dataclass(frozen=True)
@@ -127,9 +126,22 @@ class ProviderConfig:
             raise ValueError("a provider needs at least one role tag")
         if self.kind == KIND_HTTP and not self.endpoint:
             raise ValueError(f"provider {self.model_id!r} is http but has no endpoint")
+        if self.kind == KIND_HTTP and not _is_http_url(self.endpoint):
+            raise ValueError(
+                f"provider {self.model_id!r} endpoint is not an absolute http:// or https:// URL"
+            )
         if self.kind == KIND_REPLAY and not self.fixtures_dir:
             raise ValueError(f"provider {self.model_id!r} is replay but has no fixtures_dir")
         object.__setattr__(self, "role_tags", frozenset(self.role_tags))
+
+
+def _is_http_url(text: str) -> bool:
+    try:
+        url = urlsplit(text)
+        url.port  # noqa: B018 - raises ValueError for a port out of range
+    except ValueError:
+        return False
+    return url.scheme in _DEFAULT_PORTS and bool(url.hostname)
 
 
 @dataclass(frozen=True)
@@ -204,20 +216,24 @@ class ReplayBackend:
 
 
 class HttpBackend:
-    """Calls a chat-completions endpoint and returns the first choice's text."""
+    """Calls a chat-completions endpoint and returns the first choice's text.
+
+    Each thread keeps one connection per (scheme, host, port) and reuses it
+    across calls; `connections` replaces that per-thread mapping.
+    """
 
     def __init__(
         self,
         config: ProviderConfig,
         env: Mapping[str, str] | None = None,
-        session: Any | None = None,
+        connections: MutableMapping[tuple[str, str, int], Any] | None = None,
     ) -> None:
         self._config = config
         self._env = os.environ if env is None else env
-        self._session = session if session is not None else _thread_session()
+        self._connections = _thread_connections() if connections is None else connections
 
     def complete(self, request: PromptRequest) -> str:
-        import requests  # only HTTP calls pay for loading requests
+        import http.client  # only HTTP calls pay for loading http.client
 
         config = self._config
         headers = {"Content-Type": "application/json"}
@@ -234,16 +250,48 @@ class HttpBackend:
                 {"role": "user", "content": request.user_text},
             ],
         }
+        url = urlsplit(config.endpoint)
+        scheme, host = url.scheme, url.hostname
+        port = url.port or _DEFAULT_PORTS[scheme]
+        entry = self._connections.get((scheme, host, port))
+        if entry is None:
+            entry = self._connections[scheme, host, port] = _open_connection(scheme, host, port)
+        conn, proxy_headers = entry
+        if proxy_headers is None:
+            target = url.path or "/"
+            if url.query:
+                target += f"?{url.query}"
+        else:
+            target = url._replace(fragment="").geturl()
+            headers.update(proxy_headers)
+        if conn.sock is not None and _dropped(conn.sock):
+            conn.close()
+        conn.timeout = config.timeout
+        connected = conn.sock is not None
         try:
-            response = self._session.post(
-                config.endpoint, json=payload, headers=headers, timeout=config.timeout
-            )
-        except requests.Timeout as exc:
-            raise BackendTimeout(str(exc)) from exc
-        except requests.RequestException as exc:
-            raise TransportError(str(exc)) from exc
+            if connected:
+                conn.sock.settimeout(config.timeout)
+            else:
+                conn.connect()
+                connected = True
+            conn.request("POST", target, json.dumps(payload).encode("utf-8"), headers)
+            with conn.getresponse() as response:
+                status, data = response.status, response.read()
+        except BaseException as exc:
+            # A late reply on this connection must never answer the next call.
+            conn.close()
+            # Run files keep failure details, so they name the endpoint in the
+            # same words whichever HTTP client produced them.
+            where = f"{scheme.upper()}ConnectionPool(host={host!r}, port={port})"
+            if isinstance(exc, TimeoutError):
+                stage = "Read" if connected else "Connect"
+                raise BackendTimeout(
+                    f"{where}: {stage} timed out. ({stage.lower()} timeout={config.timeout})"
+                ) from exc
+            if isinstance(exc, (OSError, http.client.HTTPException)):
+                raise TransportError(f"{where}: {exc!r}") from exc
+            raise
 
-        status = response.status_code
         if status in (401, 403):
             raise AuthError(f"HTTP {status}")
         if status == 429:
@@ -251,7 +299,7 @@ class HttpBackend:
         if status != 200:
             raise TransportError(f"HTTP {status}")
         try:
-            body = response.json()
+            body = json.loads(data)
             content = body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed completion body: {exc}") from exc
@@ -260,18 +308,68 @@ class HttpBackend:
         return content
 
 
-# requests does not document Session as thread-safe, so each thread keeps its
-# own. A long-lived worker thread then reuses its connections across calls.
-_thread_sessions = threading.local()
+class _ThreadConnections(dict):
+    """One thread's kept-alive connections, closed when the thread ends."""
+
+    def __del__(self) -> None:
+        for connection, _proxy_headers in self.values():
+            connection.close()
 
 
-def _thread_session() -> requests.Session:
-    session = getattr(_thread_sessions, "session", None)
-    if session is None:
-        import requests
+# Each thread keeps its own connections, so a long-lived worker thread reuses
+# them across calls and no connection is ever shared between threads.
+_thread_state = threading.local()
 
-        session = _thread_sessions.session = requests.Session()
-    return session
+
+def _thread_connections() -> _ThreadConnections:
+    connections = getattr(_thread_state, "connections", None)
+    if connections is None:
+        connections = _thread_state.connections = _ThreadConnections()
+    return connections
+
+
+def _open_connection(scheme: str, host: str, port: int) -> tuple[Any, dict[str, str] | None]:
+    """An unconnected connection to (scheme, host, port), and the headers a
+    plain-HTTP proxy needs on every call (None when calls go direct or
+    through a CONNECT tunnel).
+
+    `HTTP_PROXY`/`HTTPS_PROXY` and `NO_PROXY` are read here, once per
+    connection. HTTPS verifies certificates with the default SSL context.
+    """
+    import base64
+    import http.client
+    import urllib.request
+
+    connection_type = (
+        http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+    )
+    proxies = urllib.request.getproxies_environment()
+    proxy = proxies.get(scheme)
+    if not proxy or urllib.request.proxy_bypass_environment(f"{host}:{port}", proxies):
+        return connection_type(host, port), None
+    proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    auth = {}
+    if proxy_url.username is not None:
+        credentials = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
+        auth["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials.encode()).decode()
+    proxy_address = (proxy_url.hostname, proxy_url.port or 80)
+    if scheme == "https":
+        connection = connection_type(*proxy_address)
+        connection.set_tunnel(host, port, headers=auth)
+        return connection, None
+    return connection_type(*proxy_address), auth
+
+
+def _dropped(sock: Any) -> bool:
+    """True when an idle kept-alive socket is readable: the server closed it
+    (or sent something unasked), so it must not carry the next request."""
+    import select
+
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
 
 
 def resolve_backend(config: ProviderConfig, env: Mapping[str, str] | None = None) -> Backend:

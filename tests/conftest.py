@@ -100,7 +100,9 @@ PART_DOCUMENT = {
 class KeepAliveServer(ThreadingHTTPServer):
     """HTTP/1.1 server that counts the TCP connections it accepts.
 
-    `delay(user_text)` gives the seconds to wait before answering a prompt.
+    `delay(user_text)` gives the seconds to wait before answering a prompt,
+    and `reply(user_text)` the document to answer with. `received` records
+    each request's target and headers.
     """
 
     daemon_threads = True
@@ -111,6 +113,8 @@ class KeepAliveServer(ThreadingHTTPServer):
     def __init__(self):
         super().__init__(("127.0.0.1", 0), KeepAliveHandler)
         self.delay = lambda user_text: 0.0
+        self.reply = lambda user_text: PART_DOCUMENT
+        self.received = []
         self.connections = 0
         self.lock = threading.Lock()
 
@@ -126,7 +130,7 @@ class KeepAliveServer(ThreadingHTTPServer):
 
 
 class KeepAliveHandler(BaseHTTPRequestHandler):
-    """Answers every POST with PART_DOCUMENT after the server's delay."""
+    """Answers every POST with the server's reply after its delay."""
 
     protocol_version = "HTTP/1.1"
     # Close a connection left idle this long, so no handler outlives its test.
@@ -139,8 +143,9 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         payload = json.loads(self.rfile.read(length))
         user_text = next(m["content"] for m in payload["messages"] if m["role"] == "user")
+        self.server.received.append((self.path, self.headers))
         time.sleep(self.server.delay(user_text))
-        content = json.dumps(PART_DOCUMENT)
+        content = json.dumps(self.server.reply(user_text))
         body = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")

@@ -479,30 +479,36 @@ class TestReplayBatch:
 
 
 class TestStartup:
-    def test_requests_loaded_only_for_http_calls(self, corpus, tmp_path):
+    def test_requests_loaded_only_for_http_calls(self, corpus, tmp_path, keepalive_server):
         script = """
+import json
 import sys
 from partspec.cli import run_command
 
-def check(step):
-    if "requests" in sys.modules:
-        sys.exit(f"requests imported by {step}")
+def check(step, module):
+    if module in sys.modules:
+        sys.exit(f"{module} imported by {step}")
 
-check("import partspec.cli")
-kb, index, descriptions, config = sys.argv[1:]
+check("import partspec.cli", "http.client")
+kb, index, descriptions, config, http_args = sys.argv[1:]
 built = run_command(["index", "build", "--kb", kb, "--out", index])
-check("index build")
+check("index build", "http.client")
 extracted = run_command(
     ["extract", "--input", descriptions, "--config", config, "--index", index]
 )
-check("extract with replay providers")
-sys.exit(built.exit_code or extracted.exit_code)
+check("extract with replay providers", "http.client")
+live = run_command(json.loads(http_args))
+if "http.client" not in sys.modules:
+    sys.exit("extract with an HTTP provider did not load http.client")
+check("extract with an HTTP provider", "requests")
+sys.exit(built.exit_code or extracted.exit_code or live.exit_code)
 """
         src = str(Path(cli.__file__).parents[1])
         pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        http_args = _http_extract_args(corpus, tmp_path, keepalive_server.url, ["M8 hex bolt"])
         argv = [
             str(corpus.kb_path), str(tmp_path / "index"),
-            str(corpus.descriptions_path), str(corpus.config_path),
+            str(corpus.descriptions_path), str(corpus.config_path), json.dumps(http_args),
         ]
         done = subprocess.run(
             [sys.executable, "-c", script, *argv],
@@ -793,6 +799,14 @@ class TestConfigCheck:
         assert "never put key material" in outcome.stderr
         # The full pasted value is not echoed back.
         assert "abcdef0123456789" not in outcome.stderr
+
+    def test_relative_endpoint_is_refused(self, corpus, tmp_path):
+        args = _http_extract_args(corpus, tmp_path, "api.example.com/v1", ["M8 hex bolt"])
+        config_path = args[args.index("--config") + 1]
+        for argv in (["config", "check", "--config", config_path], args):
+            outcome = run_command(argv)
+            assert outcome.exit_code == EXIT_USAGE
+            assert "provider 'live-0' endpoint is not an absolute" in outcome.stderr
 
     def test_invalid_json_is_usage_error(self, tmp_path):
         config_path = tmp_path / "config.json"

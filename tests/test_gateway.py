@@ -6,9 +6,10 @@ import hashlib
 import json
 import time
 from functools import partial
+from urllib.parse import urlsplit
 
 import pytest
-from conftest import ScriptedHandler
+from conftest import KeepAliveHandler, ScriptedHandler
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +65,21 @@ class TestProviderConfig:
     def test_http_requires_endpoint(self):
         with pytest.raises(ValueError, match="endpoint"):
             ProviderConfig(model_id="m", kind=KIND_HTTP)
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        [
+            "api.example.com/v1",
+            "/v1/chat/completions",
+            "ftp://api.example.com/v1",
+            "http:///v1/chat/completions",
+            "https://api.example.com:99999/v1",
+            "http://[::1/v1",
+        ],
+    )
+    def test_http_endpoint_must_be_absolute_http_url(self, endpoint):
+        with pytest.raises(ValueError, match="provider 'm' endpoint is not an absolute"):
+            ProviderConfig(model_id="m", kind=KIND_HTTP, endpoint=endpoint)
 
     def test_replay_requires_fixtures_dir(self):
         with pytest.raises(ValueError, match="fixtures_dir"):
@@ -245,6 +261,15 @@ def _http_config(endpoint, **overrides):
     return ProviderConfig(**defaults)
 
 
+@pytest.fixture()
+def pool():
+    """A connection mapping for HttpBackend, closed after the test."""
+    connections: dict = {}
+    yield connections
+    for connection, _proxy_headers in connections.values():
+        connection.close()
+
+
 class TestHttpBackend:
     def test_success(self, http_server):
         outcome = invoke(_http_config(http_server), REQUEST, sleep=lambda s: None)
@@ -310,12 +335,21 @@ class TestHttpBackend:
         captured: dict = {}
 
         class _Recorder:
-            @staticmethod
-            def post(url, json=None, headers=None, timeout=None):
-                captured.update(json)
+            sock = None
+
+            def connect(self):
+                pass
+
+            def request(self, method, target, body, headers):
+                captured.update(json.loads(body))
                 raise AuthError("stop here")
 
-        backend = HttpBackend(_http_config(http_server), session=_Recorder())
+            def close(self):
+                pass
+
+        url = urlsplit(http_server)
+        connections = {("http", url.hostname, url.port): (_Recorder(), None)}
+        backend = HttpBackend(_http_config(http_server), connections=connections)
         invoke(_http_config(http_server), REQUEST, backend=backend, sleep=lambda s: None)
         assert captured["model"] == "live-model"
         assert captured["temperature"] == 0.0
@@ -328,6 +362,68 @@ class TestHttpBackend:
             outcome = invoke(config, REQUEST, sleep=lambda s: None)
             assert outcome.failure is None
         assert keepalive_server.connections == 1
+
+    def test_late_reply_never_answers_the_next_call(self, keepalive_server, pool):
+        keepalive_server.delay = lambda user_text: 0.5 if "slow" in user_text else 0.0
+        keepalive_server.reply = lambda user_text: {"part_name": user_text}
+
+        def call(user_text, timeout):
+            config = _http_config(keepalive_server.url, timeout=timeout, max_retries=0)
+            backend = HttpBackend(config, connections=pool)
+            request = PromptRequest(system_text="extract", user_text=user_text)
+            return invoke(config, request, backend=backend, sleep=lambda s: None)
+
+        assert call("slow part", timeout=0.2).failure.kind == FAIL_TIMEOUT
+        # Long enough for the late reply to arrive, were the connection kept.
+        outcome = call("fast part", timeout=5.0)
+        assert outcome.failure is None
+        assert json.loads(outcome.raw_text) == {"part_name": "fast part"}
+        assert keepalive_server.connections == 2
+
+    def test_idle_connection_closed_by_server_is_replaced(
+        self, keepalive_server, pool, monkeypatch
+    ):
+        monkeypatch.setattr(KeepAliveHandler, "timeout", 0.1)
+        config = _http_config(keepalive_server.url)
+        backend = HttpBackend(config, connections=pool)
+        assert invoke(config, REQUEST, backend=backend, sleep=lambda s: None).failure is None
+        time.sleep(0.5)  # the server drops the connection after 0.1 s idle
+        outcome = invoke(config, REQUEST, backend=backend, sleep=lambda s: None)
+        assert outcome.failure is None
+        assert outcome.attempt_count == 1
+        assert keepalive_server.connections == 2
+
+    def test_http_proxy_from_environment(self, keepalive_server, pool, monkeypatch):
+        _clear_proxy_env(monkeypatch)
+        proxy = urlsplit(keepalive_server.url)
+        monkeypatch.setenv("HTTP_PROXY", f"http://user:pass@{proxy.netloc}")
+        endpoint = "http://provider.invalid/v1/chat/completions"
+        config = _http_config(endpoint)
+        backend = HttpBackend(config, connections=pool)
+        outcome = invoke(config, REQUEST, backend=backend, sleep=lambda s: None)
+        assert outcome.failure is None
+        [(target, headers)] = keepalive_server.received
+        assert target == endpoint
+        assert headers["Host"] == "provider.invalid"
+        assert headers["Proxy-Authorization"] == "Basic dXNlcjpwYXNz"
+
+    def test_no_proxy_bypasses_the_proxy(self, keepalive_server, pool, monkeypatch):
+        _clear_proxy_env(monkeypatch)
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:1")
+        monkeypatch.setenv("NO_PROXY", "example.test, 127.0.0.1")
+        config = _http_config(keepalive_server.url)
+        backend = HttpBackend(config, connections=pool)
+        outcome = invoke(config, REQUEST, backend=backend, sleep=lambda s: None)
+        assert outcome.failure is None
+        [(target, headers)] = keepalive_server.received
+        assert target == "/v1/chat/completions"
+        assert "Proxy-Authorization" not in headers
+
+
+def _clear_proxy_env(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
 
 
 class TestExtractFirstJsonObject:
