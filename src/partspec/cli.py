@@ -19,16 +19,16 @@ import logging
 import os
 import sys
 from collections.abc import Mapping, Sequence
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Any, TextIO
 
 from .core import PartDescription, SpecSchema, decode_json
-from .gateway import KIND_REPLAY, invoke
+from .gateway import invoke
 from .metrics import GroundTruthManifest, evaluate_run, load_runs_dir
-from .orchestrator import EnsembleConfig, PipelineResult, run_pipeline
+from .orchestrator import EnsembleConfig, PipelineResult, calls_wait_on_nothing, run_pipeline
 from .retrieval import (
     DEFAULT_DIMENSION,
     FlatIndex,
@@ -43,12 +43,6 @@ EXIT_USAGE = 2
 # Descriptions one `extract` batch runs at once. Each holds at most one call
 # per roster entry in flight, so the call pool is this times the roster.
 BATCH_WIDTH = 8
-
-
-class _CallingThread(Executor):
-    """Runs each mapped call in turn on the thread that iterates the map."""
-
-    map = map
 
 
 # Bad input of any kind is a usage error; ConfigError, FormatError and
@@ -189,16 +183,17 @@ def _cmd_extract(
     schema = SpecSchema.from_file(args.schema) if args.schema else SpecSchema.default()
     index = FlatIndex.load(args.index)
     descriptions = _read_descriptions(args.input, stdin)
-    # Credentials are read from `env` here and nowhere else in the pipeline.
-    invoke_fn = partial(invoke, env=env)
 
-    run_one = partial(run_pipeline, config=config, index=index, schema=schema, invoke_fn=invoke_fn)
+    run_one = partial(run_pipeline, config=config, index=index, schema=schema)
     results: list[PipelineResult]
-    if all(provider.kind == KIND_REPLAY for provider in config.roster):
-        # A replay call is a file read plus parsing and waits on nothing, so
-        # threads could only take turns at the interpreter lock.
-        results = list(map(partial(run_one, executor=_CallingThread()), descriptions))
+    if calls_wait_on_nothing(config, invoke):
+        # Replay reads no credentials. With the library's own invoke,
+        # run_pipeline makes every call on this thread, one description at a
+        # time.
+        results = list(map(run_one, descriptions))
     else:
+        # Credentials are read from `env` here and nowhere else in the pipeline.
+        run_one = partial(run_one, invoke_fn=partial(invoke, env=env))
         # Batch tasks wait on call tasks and call tasks wait on nothing, so
         # two pools cannot deadlock at any size. map keeps the input order.
         with (
@@ -250,7 +245,8 @@ def _read_descriptions(source: str, stdin: TextIO) -> list[PartDescription]:
     else:
         text = Path(source).read_text(encoding="utf-8")
     descriptions: list[PartDescription] = []
-    if text.lstrip().startswith("["):
+    # A byte order mark still marks a JSON array: json refuses it, naming the file.
+    if text.removeprefix("\ufeff").lstrip().startswith("["):
         data = decode_json(text, "<stdin>" if source == "-" else source)
         seen: set[str] = set()
         for position, item in enumerate(data):

@@ -12,6 +12,7 @@ import re
 import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -60,7 +61,6 @@ PHASE_RESEARCH = "research"
 MISSING_FIELD = "missing_field"
 KIND_MISMATCH = "kind_mismatch"
 
-_WS_RUN = re.compile(r"\s+")
 _NAME_SEPARATORS = re.compile(r"[\s\-]")
 _NAME_STRIP = re.compile(r"[^a-z0-9_]")
 
@@ -91,7 +91,7 @@ def canonicalize_value(raw: str) -> str:
     tokens such as "MM" and "mm" compare equal. Idempotent; no unit
     conversion is attempted.
     """
-    return _WS_RUN.sub(" ", raw.strip()).casefold()
+    return " ".join(raw.split()).casefold()
 
 
 def canonicalize_field_name(raw: str) -> str:
@@ -153,7 +153,7 @@ class SpecSchema:
             return SCALAR_TEXT
         return kind
 
-    @property
+    @cached_property
     def known_fields(self) -> frozenset[str]:
         return frozenset(self.required_fields) | frozenset(self.field_kinds)
 

@@ -10,6 +10,7 @@ the variable named in the provider config.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -208,11 +209,22 @@ class ReplayBackend:
     config: ProviderConfig
 
     def complete(self, request: PromptRequest) -> str:
-        assert self.config.fixtures_dir is not None
-        path = fixture_path(self.config.fixtures_dir, self.config.model_id, request.user_text)
-        if not path.is_file():
-            raise FixtureMissing(f"no fixture at {path}")
-        return path.read_text(encoding="utf-8")
+        fixtures_dir, model_id = self.config.fixtures_dir, self.config.model_id
+        assert fixtures_dir is not None
+        key = fixture_key(model_id, request.user_text)
+        try:
+            with open(f"{_fixture_prefix(fixtures_dir, model_id)}{key}.txt", encoding="utf-8") as f:
+                return f.read()
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            path = fixture_path(fixtures_dir, model_id, request.user_text)
+            raise FixtureMissing(f"no fixture at {path}") from None
+
+
+@functools.lru_cache(maxsize=64)
+def _fixture_prefix(fixtures_dir: str, model_id: str) -> str:
+    """`fixture_path` up to the key, as a string: the fixture for a prompt is
+    this plus `fixture_key` plus ".txt"."""
+    return os.path.join(Path(fixtures_dir, model_id), "")
 
 
 class HttpBackend:
@@ -420,13 +432,16 @@ def invoke(
         return ProviderResponse(config.model_id, text, latency, attempts, failure)
 
 
+# Keeps no state between calls, so every thread shares it, as json.loads shares its own.
+_DECODER = json.JSONDecoder()
+
+
 def extract_first_json_object(text: str) -> Any | None:
     """Pull the first decodable JSON object out of free-form model text."""
-    decoder = json.JSONDecoder()
     start = text.find("{")
     while start != -1:
         try:
-            value, _end = decoder.raw_decode(text, start)
+            value, _end = _DECODER.raw_decode(text, start)
         except json.JSONDecodeError:
             start = text.find("{", start + 1)
             continue

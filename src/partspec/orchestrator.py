@@ -29,6 +29,7 @@ from .core import (
     read_json_file,
 )
 from .gateway import (
+    KIND_REPLAY,
     ROLE_EXTRACTION,
     ROLE_RESEARCH,
     ROLE_SYNTHESIS,
@@ -287,14 +288,35 @@ def build_prompt(
     )
 
 
+def calls_wait_on_nothing(config: EnsembleConfig, invoke_fn: Callable[..., Any]) -> bool:
+    """True when every provider call is a fixture read by the library's `invoke`.
+
+    Such a call is a file read plus parsing and waits on nothing, so threads
+    could only take turns at the interpreter lock. Any other `invoke_fn` may
+    wait (on a network, a sleep, a lock), and so may an HTTP provider.
+    """
+    return invoke_fn is invoke and all(p.kind == KIND_REPLAY for p in config.roster)
+
+
+class _CallingThread(Executor):
+    """Runs each mapped call in turn on the thread that iterates the map."""
+
+    map = map
+
+
 @contextmanager
-def _call_pool(executor: Executor | None, config: EnsembleConfig) -> Iterator[Executor]:
-    """The caller's executor, or a pool sized to the roster for the block."""
+def _call_pool(
+    executor: Executor | None, config: EnsembleConfig, invoke_fn: Callable[..., Any]
+) -> Iterator[Executor]:
+    """The caller's executor; else the calling thread when the calls wait on
+    nothing; else a pool sized to the roster for the block."""
     if executor is not None:
         yield executor
-        return
-    with ThreadPoolExecutor(max_workers=len(config.roster)) as pool:
-        yield pool
+    elif calls_wait_on_nothing(config, invoke_fn):
+        yield _CallingThread()
+    else:
+        with ThreadPoolExecutor(max_workers=len(config.roster)) as pool:
+            yield pool
 
 
 def _phase_step(
@@ -312,15 +334,15 @@ def _phase_step(
     """One fan-out phase: retrieve for `query`, prompt, call every provider.
 
     Results come back in roster order. The calls never wait on other tasks,
-    so any executor size is safe; without one they run on a pool for this
-    phase.
+    so any executor size is safe; without one they run as `_call_pool`
+    chooses for this phase.
     """
     context = index.search(query, config.k, config.threshold)
     request = build_prompt(description, context, schema, focus_fields)
     call = partial(
         call_structured, request=request, schema=schema, phase=phase, invoke_fn=invoke_fn
     )
-    with _call_pool(executor, config) as calls:
+    with _call_pool(executor, config, invoke_fn) as calls:
         results = list(calls.map(call, providers))
     return results, context
 
@@ -336,7 +358,9 @@ def extract_phase(
 ) -> tuple[list[ExtractionResult], RetrievedContext]:
     """Phase 1: one grounded prompt to every extraction provider, in parallel.
 
-    Provider calls run on `executor`; without one, on a pool for this phase.
+    Provider calls run on `executor`; without one, on the calling thread when
+    they wait on nothing (`calls_wait_on_nothing`), else on a pool for this
+    phase.
     """
     return _phase_step(
         PHASE_EXTRACTION, config.extraction_providers(), description.text, (),
@@ -403,14 +427,16 @@ def run_pipeline(
 
     Too few schema-valid phase-1 outputs short-circuits to a quorum failure
     (research and synthesis are skipped); `final` is present exactly when
-    the quorum was met. Provider calls run on `executor`; without one, on a
-    single pool for the description's fan-out phases, closed before the
-    synthesis review, which runs on the calling thread.
+    the quorum was met. Provider calls run on `executor`. Without one they
+    run on the calling thread when they wait on nothing
+    (`calls_wait_on_nothing`: replay providers and the library's `invoke`),
+    else on a single pool for the description's fan-out phases, closed before
+    the synthesis review, which always runs on the calling thread.
     """
     phase2: list[ExtractionResult] = []
     research_context: RetrievedContext | None = None
     t0 = time.perf_counter()
-    with _call_pool(executor, config) as calls:
+    with _call_pool(executor, config, invoke_fn) as calls:
         phase1, extraction_context = extract_phase(
             description, config, index, schema, invoke_fn=invoke_fn, executor=calls
         )

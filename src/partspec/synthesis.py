@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
@@ -126,10 +126,33 @@ def field_confidence(
     )
 
 
+@dataclass(frozen=True)
+class _GroundingContext(RetrievedContext):
+    """A retrieved context with each snippet canonicalized once.
+
+    `synthesize_spec` builds one per call and grades every candidate value
+    against it; the context a PipelineResult holds stays the plain one.
+    """
+
+    canonical_snippets: tuple[str, ...] = ()
+
+    @classmethod
+    def of(cls, context: RetrievedContext) -> _GroundingContext:
+        snippets = tuple(canonicalize_value(hit.snippet) for hit in context.hits)
+        return cls(
+            context.hits, context.query_text, context.k_requested, context.threshold_applied,
+            snippets,
+        )
+
+
 def rag_alignment_indicator(canonical_value: str, context: RetrievedContext) -> int:
     """1 when any retrieved snippet contains the canonical value, else 0."""
-    for hit in context.hits:
-        if canonical_value in canonicalize_value(hit.snippet):
+    if isinstance(context, _GroundingContext):
+        snippets: Iterable[str] = context.canonical_snippets
+    else:
+        snippets = (canonicalize_value(hit.snippet) for hit in context.hits)
+    for snippet in snippets:
+        if canonical_value in snippet:
             return 1
     return 0
 
@@ -251,15 +274,16 @@ def synthesize_spec(
         for claim in result.claims:
             by_field.setdefault(claim.field, []).append(claim)
 
+    grounding = _GroundingContext.of(context)
     roster_order = config.roster_order()
     weights = config.confidence_weights
     resolved = {
-        name: resolve_field(claims, context, weights, roster_order)
+        name: resolve_field(claims, grounding, weights, roster_order)
         for name, claims in by_field.items()
     }
 
     resolved, pass_note = _consistency_pass(
-        resolved, context, config, schema, invoke_fn=invoke_fn
+        resolved, grounding, config, schema, invoke_fn=invoke_fn
     )
 
     total = len(resolved)

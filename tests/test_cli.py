@@ -754,6 +754,16 @@ class TestJsonInputs:
         assert outcome.stdout == ""
 
 
+    def test_descriptions_array_after_byte_order_mark_is_usage_error(self, corpus, tmp_path):
+        bad = tmp_path / "descriptions.json"
+        text = corpus.descriptions_path.read_text(encoding="utf-8")
+        bad.write_text("\ufeff" + text, encoding="utf-8")
+        outcome = run_command([*_extract_args(corpus), "--input", str(bad)])
+        assert outcome.exit_code == EXIT_USAGE
+        assert outcome.stderr.startswith(f"error: {bad}: invalid JSON: Unexpected UTF-8 BOM")
+        assert outcome.stdout == ""
+
+
 class TestConfigCheck:
     def test_valid_config(self, corpus):
         outcome = run_command(["config", "check", "--config", str(corpus.config_path)])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -55,6 +56,19 @@ class TestCanonicalizeValue:
     def test_idempotent(self, raw):
         once = canonicalize_value(raw)
         assert canonicalize_value(once) == once
+
+    # Separators and spaces that str.isspace and the regex \s both count as
+    # whitespace, one that neither does (U+200B), and a letter casefold grows.
+    @example("a\x1cb")
+    @example("\x85x\x85")
+    @example("10\xa0MM")
+    @example("a\u2028\u2028b")
+    @example("\u3000Steel\u3000")
+    @example("a\u200bb")
+    @example("ß")
+    @given(st.text(max_size=40))
+    def test_matches_the_regex_definition(self, raw):
+        assert canonicalize_value(raw) == re.sub(r"\s+", " ", raw.strip()).casefold()
 
 
 class TestCanonicalizeFieldName:

@@ -139,6 +139,42 @@ class TestReplayBackend:
         assert sleeps == []
 
 
+@pytest.fixture(params=["fx", "./fx", "fx/", "absolute"])
+def fixtures_dir(request, tmp_path, monkeypatch):
+    """A fixtures_dir spelled each way a config may give it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fx").mkdir()
+    return str(tmp_path / "fx") if request.param == "absolute" else request.param
+
+
+class TestFixtureReads:
+    """ReplayBackend finds, reads and misses fixtures as `fixture_path` names them."""
+
+    def test_missing_fixture_detail_names_the_path(self, fixtures_dir):
+        outcome = invoke(_replay_config(fixtures_dir), REQUEST)
+        path = fixture_path(fixtures_dir, "model-a", REQUEST.user_text)
+        assert outcome.failure == Failure(FAIL_TRANSPORT, f"no fixture at {path}")
+
+    @pytest.mark.parametrize("blocker", ["directory_at_path", "file_as_model_dir"])
+    def test_unreadable_path_is_missing_fixture(self, fixtures_dir, blocker):
+        path = fixture_path(fixtures_dir, "model-a", REQUEST.user_text)
+        if blocker == "directory_at_path":
+            path.mkdir(parents=True)
+        else:
+            path.parent.write_text("not a directory", encoding="utf-8")
+        outcome = invoke(_replay_config(fixtures_dir), REQUEST)
+        assert outcome.failure == Failure(FAIL_TRANSPORT, f"no fixture at {path}")
+        assert outcome.attempt_count == 1
+
+    def test_reads_as_path_read_text(self, fixtures_dir):
+        path = fixture_path(fixtures_dir, "model-a", REQUEST.user_text)
+        path.parent.mkdir()
+        path.write_bytes('{"part_name": "Bolt \u00e9"}\r\n\r\nline\rend\n'.encode())
+        text = ReplayBackend(_replay_config(fixtures_dir)).complete(REQUEST)
+        assert text == path.read_text(encoding="utf-8")
+        assert text == '{"part_name": "Bolt \u00e9"}\n\nline\nend\n'
+
+
 class _FlakyBackend:
     """Scripted backend: raises each queued error, then succeeds."""
 

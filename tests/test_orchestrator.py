@@ -7,7 +7,8 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, replace
+from functools import partial
 
 import pytest
 from conftest import JSON_VALUES, finishes_within
@@ -15,6 +16,7 @@ from corpusgen import config_document
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from partspec import gateway, orchestrator
 from partspec.core import (
     PHASE_EXTRACTION,
     PHASE_RESEARCH,
@@ -24,6 +26,7 @@ from partspec.core import (
     validate_spec_document,
 )
 from partspec.gateway import (
+    KIND_HTTP,
     KIND_REPLAY,
     ProviderConfig,
     ProviderResponse,
@@ -456,6 +459,26 @@ def _gap_invoke(threads):
     return call
 
 
+def _record_call_threads(monkeypatch):
+    """Names of the threads that backend calls ran on, in call order."""
+    threads: list[str] = []
+
+    def recording(complete):
+        def call(backend, request):
+            threads.append(threading.current_thread().name)
+            return complete(backend, request)
+
+        return call
+
+    for backend in (gateway.ReplayBackend, gateway.HttpBackend):
+        monkeypatch.setattr(backend, "complete", recording(backend.complete))
+    return threads
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a thread pool was started")
+
+
 def _valid_result(model, overrides=None):
     doc = dict(_FULL_DOC)
     if overrides:
@@ -648,6 +671,57 @@ class TestRunPipeline:
         assert len(result.phase2_results) == 1
         # The fan-out workers were joined before the review call started.
         assert workers and alive_at_review == [False]
+
+    def test_replay_roster_with_library_invoke_runs_on_calling_thread(self, corpus, monkeypatch):
+        threads = _record_call_threads(monkeypatch)
+        monkeypatch.setattr(orchestrator, "ThreadPoolExecutor", _no_pool)
+        config = EnsembleConfig.from_file(corpus.config_path)
+        # The third corpus description goes to research.
+        case = corpus.cases[2]
+        description = PartDescription(case.description_id, case.text, case.category)
+        result = run_pipeline(
+            description, config, FlatIndex.load(corpus.index_dir), SpecSchema.default()
+        )
+        assert result.to_json() == corpus.results[2].to_json()
+        assert result.phase2_results
+        assert result.final.provenance["synthesis_pass"].startswith("applied")
+        calls = len(result.phase1_results) + len(result.phase2_results) + 1
+        assert threads == [threading.current_thread().name] * calls
+
+    @pytest.mark.parametrize("variant", ["http_entry", "bound_invoke"])
+    def test_other_rosters_and_invokes_keep_one_pool_per_description(
+        self, corpus, monkeypatch, variant
+    ):
+        threads = _record_call_threads(monkeypatch)
+        config = EnsembleConfig.from_file(corpus.config_path)
+        invoke_fn = gateway.invoke
+        if variant == "http_entry":
+            # One extractor becomes an HTTP provider that answers as its
+            # replay fixtures would; the recorder sees each call once, in
+            # the replay backend.
+            first = config.roster[0]
+            http = replace(first, kind=KIND_HTTP, endpoint="http://127.0.0.1:9/v1")
+            config = replace(config, roster=(http, *config.roster[1:]))
+            replay = gateway.ReplayBackend(first)
+            monkeypatch.setattr(
+                gateway.HttpBackend, "complete", lambda backend, request: replay.complete(request)
+            )
+        else:
+            invoke_fn = partial(gateway.invoke, env={})
+        index = FlatIndex.load(corpus.index_dir)
+        for position in (0, 2):
+            case = corpus.cases[position]
+            description = PartDescription(case.description_id, case.text, case.category)
+            threads.clear()
+            result = run_pipeline(
+                description, config, index, SpecSchema.default(), invoke_fn=invoke_fn
+            )
+            assert result.to_json() == corpus.results[position].to_json()
+            # Fan-out calls ran on one pool; the review ran on this thread.
+            fan_out = len(result.phase1_results) + len(result.phase2_results)
+            assert len({name.rsplit("_", 1)[0] for name in threads[:fan_out]}) == 1
+            assert threads[0].startswith("ThreadPoolExecutor")
+            assert threads[fan_out:] == [threading.current_thread().name]
 
     def test_deterministic_serialization(self):
         first = run_pipeline(

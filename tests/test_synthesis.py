@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import json
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partspec import synthesis
 from partspec.core import (
     PHASE_EXTRACTION,
     PHASE_RESEARCH,
     Failure,
     FieldClaim,
     SpecSchema,
+    canonicalize_value,
     validate_spec_document,
 )
 from partspec.gateway import (
@@ -388,6 +391,30 @@ class TestSynthesizeSpec:
         assert part_number.confidence == pytest.approx(0.8, abs=1e-12)
         # Untouched fields keep their drafted values.
         assert spec.fields["part_name"].value == "Hex Bolt"
+
+    def test_each_snippet_canonicalized_once(self, monkeypatch):
+        results = [_result(_DOC_A, "alpha"), _result(_DOC_B, "bravo")]
+        corrected = dict(_DOC_A, part_number="HB-200")
+        canonicalized: list[str] = []
+
+        def counting(raw):
+            canonicalized.append(raw)
+            return canonicalize_value(raw)
+
+        def review(provider, request):
+            return ProviderResponse(provider.model_id, json.dumps(corrected), 0.0, 1)
+
+        context = _context("acme hex bolt m8 steel", "Brass  WASHER")
+        synthesize = partial(
+            synthesize_spec, results, context, _config(), SpecSchema.default(), invoke_fn=review
+        )
+        expected = synthesize()
+        monkeypatch.setattr(synthesis, "canonicalize_value", counting)
+        spec = synthesize()
+        # Five fields and a corrected one are graded against the two snippets.
+        assert canonicalized == [hit.snippet for hit in context.hits]
+        assert spec == expected
+        assert spec.provenance["synthesis_pass"] == "applied: synth"
 
     def test_consistency_pass_provider_failure_falls_back(self):
         results = [_result(_DOC_A, "alpha"), _result(_DOC_B, "bravo")]
