@@ -12,12 +12,24 @@ from functools import partial
 
 import pytest
 from conftest import JSON_VALUES, finishes_within
-from corpusgen import config_document
+from corpusgen import (
+    CASES,
+    EXTRACTION_MODELS,
+    config_document,
+    extraction_document,
+    research_document,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from partspec import gateway, orchestrator
 from partspec.core import (
+    FAIL_AUTH,
+    FAIL_EXHAUSTED,
+    FAIL_PARSE,
+    FAIL_RATE_LIMITED,
+    FAIL_TIMEOUT,
+    FAIL_TRANSPORT,
     PHASE_EXTRACTION,
     PHASE_RESEARCH,
     Failure,
@@ -28,6 +40,9 @@ from partspec.core import (
 from partspec.gateway import (
     KIND_HTTP,
     KIND_REPLAY,
+    ROLE_EXTRACTION,
+    ROLE_SYNTHESIS,
+    ROLE_TAGS,
     ProviderConfig,
     ProviderResponse,
 )
@@ -754,3 +769,182 @@ class TestRunPipeline:
         }
         assert data["context_used"]["research"] is None
         assert data["final"]["provenance"]["synthesis_pass"] == "applied: synth"
+
+
+_CORPUS_DOCUMENTS = st.one_of(
+    st.builds(extraction_document, st.sampled_from(CASES), st.sampled_from(EXTRACTION_MODELS)),
+    st.builds(research_document, st.sampled_from(CASES)),
+)
+
+
+@st.composite
+def _valid_documents(draw):
+    """A corpus document whose manufacturer carries a drawn confidence, so
+    the gap floor decides whether research runs."""
+    document = json.loads(draw(_CORPUS_DOCUMENTS))
+    manufacturer = document["manufacturer"]
+    document["manufacturer"] = {
+        "value": manufacturer["value"] if isinstance(manufacturer, dict) else manufacturer,
+        "confidence": draw(st.floats(0.0, 1.0, exclude_max=True)),
+    }
+    return json.dumps(document)
+
+
+_VALID_DOCUMENTS = _valid_documents()
+
+
+@st.composite
+def _partial_documents(draw):
+    """A corpus document missing at least one of its top-level keys."""
+    document = json.loads(draw(_CORPUS_DOCUMENTS))
+    keys = sorted(document)
+    kept = draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys) - 1))
+    return json.dumps({key: document[key] for key in kept})
+
+
+_RAISE = "<raise>"
+
+# What one provider answers: reply text, a failure record, or an exception.
+# Valid documents are drawn as often as all the rest together, so the quorum
+# is met often enough for research and synthesis to run.
+_OUTCOMES = st.one_of(
+    *[_VALID_DOCUMENTS] * 5,
+    _partial_documents(),
+    st.text(max_size=20),
+    st.builds(
+        Failure,
+        st.sampled_from(
+            (FAIL_TIMEOUT, FAIL_TRANSPORT, FAIL_AUTH, FAIL_RATE_LIMITED, FAIL_EXHAUSTED, FAIL_PARSE)
+        ),
+        st.text(max_size=10),
+    ),
+    st.just(_RAISE),
+)
+
+# The three kinds of prompt a provider can be sent.
+_STEPS = ("extraction", "research", "review")
+
+
+def _step_of(user_text):
+    if user_text.startswith("DRAFT SPECIFICATION:"):
+        return "review"
+    return "research" if "\n\nFOCUS:\n" in user_text else "extraction"
+
+
+def _research_question(user_text):
+    """(description text, focus fields) of a research prompt."""
+    description, focus = user_text.split("\n\nFOCUS:\n", 1)
+    text = description.split("\n\n", 1)[0].removeprefix("DESCRIPTION:\n")
+    return text, tuple(line.removeprefix("- ") for line in focus.splitlines())
+
+
+@st.composite
+def _ensembles(draw):
+    """A roster of 2-6 replay entries with drawn roles, quorum and gap floor."""
+    roles = draw(
+        st.lists(st.sets(st.sampled_from(sorted(ROLE_TAGS)), min_size=1), min_size=2, max_size=6)
+    )
+    if not any(ROLE_SYNTHESIS in tags for tags in roles):
+        roles[0] = roles[0] | {ROLE_SYNTHESIS}
+    roster = tuple(_provider(f"m{n}", *tags) for n, tags in enumerate(roles))
+    synthesizers = [p.model_id for p in roster if ROLE_SYNTHESIS in p.role_tags]
+    extractors = sum(1 for p in roster if ROLE_EXTRACTION in p.role_tags)
+    return EnsembleConfig(
+        roster=roster,
+        synthesis_model=draw(st.sampled_from(synthesizers)),
+        min_quorum=draw(st.integers(1, max(1, extractors))),
+        # Every drawn manufacturer confidence is below 1.0, so that floor
+        # sends each description that meets the quorum to research.
+        gap_confidence_floor=draw(st.just(1.0) | st.floats(0.0, 1.0)),
+    )
+
+
+def _scripted_invoke(outcomes, calls):
+    """invoke_fn answering each (model, step) with its drawn outcome; it
+    records every call as (model, step, user text)."""
+
+    def call(provider, request):
+        step = _step_of(request.user_text)
+        calls.append((provider.model_id, step, request.user_text))
+        outcome = outcomes[provider.model_id, step]
+        if outcome == _RAISE:
+            raise RuntimeError("provider crashed")
+        if isinstance(outcome, Failure):
+            return ProviderResponse(provider.model_id, "", 0.0, 1, outcome)
+        return ProviderResponse(provider.model_id, outcome, 0.0, 1)
+
+    return call
+
+
+def _batch(run_one, descriptions, config, width):
+    """run_one over descriptions the way the CLI runs a batch of `width`."""
+    with (
+        ThreadPoolExecutor(width * len(config.roster)) as calls,
+        ThreadPoolExecutor(width) as batch,
+    ):
+        return list(batch.map(partial(run_one, executor=calls), descriptions))
+
+
+@pytest.fixture(scope="module")
+def corpus_index(corpus):
+    return FlatIndex.load(corpus.index_dir)
+
+
+class TestExecutionPaths:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        config=_ensembles(),
+        cases=st.lists(
+            st.sampled_from(CASES), min_size=1, max_size=3, unique_by=lambda c: c.description_id
+        ),
+    )
+    def test_every_executor_gives_the_same_run(self, corpus_index, data, config, cases):
+        outcomes = {
+            (model_id, step): data.draw(_OUTCOMES, label=f"{model_id} {step}")
+            for model_id in config.roster_order()
+            for step in _STEPS
+        }
+        calls: list[tuple[str, str, str]] = []
+        schema = SpecSchema.default()
+        run_one = partial(
+            run_pipeline,
+            config=config,
+            index=corpus_index,
+            schema=schema,
+            invoke_fn=_scripted_invoke(outcomes, calls),
+        )
+        descriptions = [PartDescription(c.description_id, c.text, c.category) for c in cases]
+
+        runs = [[run_one(d, executor=orchestrator._CallingThread()) for d in descriptions]]
+        with ThreadPoolExecutor(max_workers=1) as one_worker:
+            runs.append([run_one(d, executor=one_worker) for d in descriptions])
+        runs.append([run_one(d) for d in descriptions])
+        for width in (1, 8):
+            runs.append(_batch(run_one, descriptions, config, width))
+
+        first = [result.to_json() for result in runs[0]]
+        assert all([result.to_json() for result in run] == first for run in runs[1:])
+
+        extractors = [(p.model_id, PHASE_EXTRACTION) for p in config.extraction_providers()]
+        researchers = [(p.model_id, PHASE_RESEARCH) for p in config.research_providers()]
+        expected_questions = set()
+        for description, result in zip(descriptions, runs[0]):
+            successes = sum(1 for r in result.phase1_results if r.schema_valid)
+            quorum_met = successes >= config.min_quorum
+            assert (result.final is not None) == quorum_met
+            assert (result.quorum_failure is None) == quorum_met
+            gaps = identify_gaps(result.phase1_results, schema, config) if quorum_met else []
+            expected = extractors + (researchers if gaps else [])
+            outputs = result.to_dict()["outputs"]
+            assert [(o["model_id"], o["phase"]) for o in outputs] == expected
+            if gaps:
+                expected_questions |= {(m, description.text, tuple(gaps)) for m, _ in researchers}
+
+        # Research went to research providers only, about the gap fields only.
+        asked = {
+            (model_id, *_research_question(text))
+            for model_id, step, text in calls
+            if step == "research"
+        }
+        assert asked == expected_questions
