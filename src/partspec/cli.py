@@ -19,7 +19,6 @@ import logging
 import os
 import sys
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -28,22 +27,12 @@ from typing import Any, TextIO
 from .core import PartDescription, SpecSchema, decode_json
 from .gateway import invoke
 from .metrics import GroundTruthManifest, evaluate_run, load_runs_dir
-from .orchestrator import EnsembleConfig, PipelineResult, calls_wait_on_nothing, run_pipeline
-from .retrieval import (
-    DEFAULT_DIMENSION,
-    FlatIndex,
-    HashTrigramEmbedder,
-    ingest_records,
-)
+from .orchestrator import EnsembleConfig, batch_executors, run_pipeline
+from .retrieval import DEFAULT_DIMENSION, FlatIndex, HashTrigramEmbedder, ingest_records
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
-
-# Descriptions one `extract` batch runs at once. Each holds at most one call
-# per roster entry in flight, so the call pool is this times the roster.
-BATCH_WIDTH = 8
-
 
 # Bad input of any kind is a usage error; ConfigError, FormatError and
 # MetricError are ValueErrors too.
@@ -184,23 +173,12 @@ def _cmd_extract(
     index = FlatIndex.load(args.index)
     descriptions = _read_descriptions(args.input, stdin)
 
-    run_one = partial(run_pipeline, config=config, index=index, schema=schema)
-    results: list[PipelineResult]
-    if calls_wait_on_nothing(config, invoke):
-        # Replay reads no credentials. With the library's own invoke,
-        # run_pipeline makes every call on this thread, one description at a
-        # time.
-        results = list(map(run_one, descriptions))
-    else:
-        # Credentials are read from `env` here and nowhere else in the pipeline.
-        run_one = partial(run_one, invoke_fn=partial(invoke, env=env))
-        # Batch tasks wait on call tasks and call tasks wait on nothing, so
-        # two pools cannot deadlock at any size. map keeps the input order.
-        with (
-            ThreadPoolExecutor(BATCH_WIDTH * len(config.roster)) as calls,
-            ThreadPoolExecutor(BATCH_WIDTH) as batch,
-        ):
-            results = list(batch.map(partial(run_one, executor=calls), descriptions))
+    # Credentials are read from `env` here and nowhere else in the pipeline.
+    invoke_fn = partial(invoke, env=env)
+    run_one = partial(run_pipeline, config=config, index=index, schema=schema, invoke_fn=invoke_fn)
+    # map keeps the input order.
+    with batch_executors(config, invoke_fn) as (batch, calls):
+        results = list(batch.map(partial(run_one, executor=calls), descriptions))
 
     documents: list[dict[str, Any]] = []
     for result in results:
@@ -263,7 +241,8 @@ def _read_descriptions(source: str, stdin: TextIO) -> list[PartDescription]:
             seen.add(description_id)
             descriptions.append(PartDescription(description_id, item_text, category or None))
     else:
-        stripped = (line.strip() for line in text.splitlines())
+        # As utf-8-sig would, drop a byte order mark; str.strip() keeps it.
+        stripped = (line.strip() for line in text.removeprefix("\ufeff").splitlines())
         for position, line in enumerate((line for line in stripped if line), start=1):
             descriptions.append(PartDescription(f"line-{position}", line))
     if not descriptions:

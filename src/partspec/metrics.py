@@ -138,9 +138,10 @@ class ManifestEntry:
 
 
 def _field_names(raw: Mapping[str, Any], key: str) -> frozenset[str]:
-    """An array of field names as a set; a string is not read as its letters."""
+    """An array of field names as a set; a string or an object is not read as
+    its letters or its keys."""
     names = raw.get(key, ())
-    if isinstance(names, str) or not all(isinstance(name, str) for name in names):
+    if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
         raise ValueError(f"{key} must be an array of field names")
     return frozenset(names)
 
@@ -167,7 +168,10 @@ class GroundTruthManifest:
                 raise MetricError(f"{where} has unknown keys: {sorted(unknown)}")
             try:
                 expected_fields = _field_names(raw, "expected_fields")
-                detail_max = int(raw["detail_max"])
+                detail_max = raw["detail_max"]
+                # int() would read 2.9 as 2, true as 1 and "3" as 3.
+                if isinstance(detail_max, bool) or not isinstance(detail_max, int):
+                    raise ValueError(f"detail_max must be an integer, got {detail_max!r}")
                 allowed_attributes = _field_names(raw, "allowed_attributes")
             except (TypeError, ValueError, OverflowError) as exc:
                 raise MetricError(f"{where}: {exc}") from None

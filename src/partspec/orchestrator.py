@@ -49,10 +49,12 @@ from .synthesis import (
 logger = logging.getLogger(__name__)
 
 __all__ = [
+    "BATCH_WIDTH",
     "ConfigError",
     "EnsembleConfig",
     "QuorumFailure",
     "PipelineResult",
+    "batch_executors",
     "build_prompt",
     "extract_phase",
     "identify_gaps",
@@ -288,14 +290,8 @@ def build_prompt(
     )
 
 
-def calls_wait_on_nothing(config: EnsembleConfig, invoke_fn: Callable[..., Any]) -> bool:
-    """True when every provider call is a fixture read by the library's `invoke`.
-
-    Such a call is a file read plus parsing and waits on nothing, so threads
-    could only take turns at the interpreter lock. Any other `invoke_fn` may
-    wait (on a network, a sleep, a lock), and so may an HTTP provider.
-    """
-    return invoke_fn is invoke and all(p.kind == KIND_REPLAY for p in config.roster)
+# Descriptions one batch runs at once, unless the caller gives a width.
+BATCH_WIDTH = 8
 
 
 class _CallingThread(Executor):
@@ -305,18 +301,46 @@ class _CallingThread(Executor):
 
 
 @contextmanager
+def batch_executors(
+    config: EnsembleConfig, invoke_fn: Callable[..., Any], width: int | None = None
+) -> Iterator[tuple[Executor, Executor]]:
+    """(descriptions, calls) executors for a batch of `width` descriptions
+    (default `BATCH_WIDTH`); the one place that decides where provider calls
+    run. Map `run_pipeline` on the first with `executor=` the second.
+
+    Both are the calling thread when the calls wait on nothing: an all-replay
+    roster through the library's `invoke`, bare or with only `env` bound,
+    only reads fixtures. Any other call may wait on a network, a sleep or a
+    lock, so descriptions run on a pool of `width` threads and their calls
+    share a pool of `width` times the roster. Description tasks wait on call
+    tasks, which wait on nothing, so the pools cannot deadlock.
+    """
+    bare = invoke_fn
+    if isinstance(bare, partial) and not bare.args and set(bare.keywords) <= {"env"}:
+        bare = bare.func
+    if bare is invoke and all(p.kind == KIND_REPLAY for p in config.roster):
+        calling_thread = _CallingThread()
+        yield calling_thread, calling_thread
+        return
+    width = BATCH_WIDTH if width is None else width
+    # The descriptions pool shuts down first: its tasks wait on the calls pool.
+    with (
+        ThreadPoolExecutor(width * len(config.roster)) as calls,
+        ThreadPoolExecutor(width) as descriptions,
+    ):
+        yield descriptions, calls
+
+
+@contextmanager
 def _call_pool(
     executor: Executor | None, config: EnsembleConfig, invoke_fn: Callable[..., Any]
 ) -> Iterator[Executor]:
-    """The caller's executor; else the calling thread when the calls wait on
-    nothing; else a pool sized to the roster for the block."""
+    """The caller's executor, else the calls executor of a batch of one."""
     if executor is not None:
         yield executor
-    elif calls_wait_on_nothing(config, invoke_fn):
-        yield _CallingThread()
     else:
-        with ThreadPoolExecutor(max_workers=len(config.roster)) as pool:
-            yield pool
+        with batch_executors(config, invoke_fn, 1) as (_, calls):
+            yield calls
 
 
 def _phase_step(
@@ -333,9 +357,7 @@ def _phase_step(
 ) -> tuple[list[ExtractionResult], RetrievedContext]:
     """One fan-out phase: retrieve for `query`, prompt, call every provider.
 
-    Results come back in roster order. The calls never wait on other tasks,
-    so any executor size is safe; without one they run as `_call_pool`
-    chooses for this phase.
+    Results come back in roster order.
     """
     context = index.search(query, config.k, config.threshold)
     request = build_prompt(description, context, schema, focus_fields)
@@ -358,9 +380,8 @@ def extract_phase(
 ) -> tuple[list[ExtractionResult], RetrievedContext]:
     """Phase 1: one grounded prompt to every extraction provider, in parallel.
 
-    Provider calls run on `executor`; without one, on the calling thread when
-    they wait on nothing (`calls_wait_on_nothing`), else on a pool for this
-    phase.
+    Provider calls run on `executor`; without one, as `batch_executors`
+    decides for a batch of one.
     """
     return _phase_step(
         PHASE_EXTRACTION, config.extraction_providers(), description.text, (),
@@ -427,11 +448,10 @@ def run_pipeline(
 
     Too few schema-valid phase-1 outputs short-circuits to a quorum failure
     (research and synthesis are skipped); `final` is present exactly when
-    the quorum was met. Provider calls run on `executor`. Without one they
-    run on the calling thread when they wait on nothing
-    (`calls_wait_on_nothing`: replay providers and the library's `invoke`),
-    else on a single pool for the description's fan-out phases, closed before
-    the synthesis review, which always runs on the calling thread.
+    the quorum was met. Provider calls run on `executor`; without one, as
+    `batch_executors` decides for a batch of one, and any pool it starts is
+    closed before the synthesis review, which always runs on the calling
+    thread.
     """
     phase2: list[ExtractionResult] = []
     research_context: RetrievedContext | None = None

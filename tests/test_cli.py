@@ -177,6 +177,18 @@ class TestExtract:
         documents = json.loads(outcome.stdout)
         assert [d["description_id"] for d in documents] == ["line-1", "line-2"]
 
+    def test_text_file_after_byte_order_mark_reads_as_without(self, corpus, tmp_path):
+        outputs = []
+        for mark in ("", "\ufeff"):
+            listing = tmp_path / f"parts-{len(mark)}.txt"
+            listing.write_text(
+                mark + corpus.cases[0].text + "\n" + corpus.cases[1].text + "\n", encoding="utf-8"
+            )
+            outcome = run_command([*_extract_args(corpus), "--input", str(listing)])
+            assert outcome.exit_code == EXIT_OK
+            outputs.append(outcome.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_empty_input_is_usage_error(self, corpus, tmp_path):
         empty = tmp_path / "empty.txt"
         empty.write_text("\n\n", encoding="utf-8")
@@ -323,14 +335,34 @@ _EVAL_DEFECTS = {
     "manifest_entry_not_object": "manifest entry 'd001'",
     "missing_expected_fields": "manifest entry 'd001'",
     "overflowing_detail_max": "manifest entry 'd001'",
+    "fractional_detail_max": "manifest entry 'd001': detail_max must be an integer, got 2.9",
+    "boolean_detail_max": "manifest entry 'd001': detail_max must be an integer, got True",
+    "string_number_detail_max": "manifest entry 'd001': detail_max must be an integer, got '3'",
+    "half_detail_max": "manifest entry 'd001': detail_max must be an integer, got 0.5",
     "descriptions_not_array": "run.json: descriptions",
     "final_not_object": "run.json: description 0: final",
     "string_expected_fields": "manifest entry 'd001': expected_fields",
     "string_allowed_attributes": "manifest entry 'd001': allowed_attributes",
+    "object_expected_fields": "manifest entry 'd001': expected_fields",
+    "object_allowed_attributes": "manifest entry 'd001': allowed_attributes",
     "non_string_system_id": "run.json: run file must be an object with a string system_id",
     "output_not_object": "run.json: description 0",
     "description_id_not_string": "run.json: description 0",
     "overflowing_confidence": "run.json: description 0: unreadable output",
+}
+
+# The defects above that set one key of the first description's manifest entry.
+_MANIFEST_ENTRY_VALUES = {
+    "non_integer_detail_max": ("detail_max", "many"),
+    "overflowing_detail_max": ("detail_max", 1e400),
+    "fractional_detail_max": ("detail_max", 2.9),
+    "boolean_detail_max": ("detail_max", True),
+    "string_number_detail_max": ("detail_max", "3"),
+    "half_detail_max": ("detail_max", 0.5),
+    "string_expected_fields": ("expected_fields", "part_name"),
+    "string_allowed_attributes": ("allowed_attributes", "part_name"),
+    "object_expected_fields": ("expected_fields", {"part_name": 1}),
+    "object_allowed_attributes": ("allowed_attributes", {"part_name": 1}),
 }
 
 
@@ -403,16 +435,40 @@ class TestConcurrentBatch:
         run = load_system_run(run_path)
         assert [d.description_id for d in run.descriptions] == expected
 
-    def test_batch_width_one_gives_same_bytes(self, corpus, tmp_path, monkeypatch):
+    def test_batch_width_one_gives_same_bytes(
+        self, corpus, tmp_path, keepalive_server, monkeypatch
+    ):
+        lock = threading.Lock()
+        in_flight, peaks = [0], []
+
+        def staggered(user_text):
+            # Lot n waits (6 - n) x 20 ms here rather than in the server, so
+            # the peak of requests in flight shows how many descriptions ran
+            # at once.
+            lot = re.search(r"lot (\d)", user_text)
+            with lock:
+                in_flight[0] += 1
+                peaks[-1] = max(peaks[-1], in_flight[0])
+            time.sleep(0.02 * (6 - int(lot.group(1))) if lot else 0.0)
+            with lock:
+                in_flight[0] -= 1
+            return 0.0
+
+        keepalive_server.delay = staggered
+        texts = [f"M8 hex bolt, steel, lot {n}" for n in range(6)]
+        args = _http_extract_args(corpus, tmp_path, keepalive_server.url, texts)
         outputs = []
-        for width in (cli.BATCH_WIDTH, 1):
-            monkeypatch.setattr(cli, "BATCH_WIDTH", width)
+        for width in (8, 1):
+            monkeypatch.setattr(orchestrator, "BATCH_WIDTH", width)
+            peaks.append(0)
             run_path = tmp_path / f"run-{width}.json"
-            args = _extract_args(corpus, "--runs-out", str(run_path))
-            outcome = finishes_within(60, lambda: run_command(args))
+            outcome = finishes_within(60, lambda: run_command([*args, "--runs-out", str(run_path)]))
             assert outcome.exit_code == EXIT_OK
             outputs.append((outcome.stdout, run_path.read_bytes()))
         assert outputs[0] == outputs[1]
+        # Each description calls its three extractors at once: at width 8
+        # descriptions overlapped, at width 1 they did not.
+        assert peaks[0] > 3 >= peaks[1]
 
 
 class TestReplayBatch:
@@ -438,8 +494,8 @@ class TestReplayBatch:
         run_one = partial(run_pipeline, config=config, index=index, schema=SpecSchema.default())
         descriptions = [PartDescription(c.description_id, c.text, c.category) for c in corpus.cases]
         with (
-            ThreadPoolExecutor(cli.BATCH_WIDTH * len(config.roster)) as calls,
-            ThreadPoolExecutor(cli.BATCH_WIDTH) as batch,
+            ThreadPoolExecutor(orchestrator.BATCH_WIDTH * len(config.roster)) as calls,
+            ThreadPoolExecutor(orchestrator.BATCH_WIDTH) as batch,
         ):
             results = list(batch.map(partial(run_one, executor=calls), descriptions))
         documents = [result.final.to_dict() for result in results]
@@ -578,7 +634,10 @@ class TestEval:
         run = json.loads(run_path.read_text(encoding="utf-8"))
         manifest = json.loads(corpus.manifest_path.read_text(encoding="utf-8"))
         first = run["descriptions"][0]
-        if defect == "description_not_object":
+        if defect in _MANIFEST_ENTRY_VALUES:
+            key, value = _MANIFEST_ENTRY_VALUES[defect]
+            manifest[first["description_id"]][key] = value
+        elif defect == "description_not_object":
             run["descriptions"][0] = first["description_id"]
         elif defect == "missing_description_id":
             del first["description_id"]
@@ -586,22 +645,14 @@ class TestEval:
             first["outputs"][0].update(
                 claims=[], schema_valid=False, failure={"kind": "timeout", "reason": "slow"}
             )
-        elif defect == "non_integer_detail_max":
-            manifest[first["description_id"]]["detail_max"] = "many"
         elif defect == "manifest_entry_not_object":
             manifest[first["description_id"]] = 5
         elif defect == "missing_expected_fields":
             del manifest[first["description_id"]]["expected_fields"]
-        elif defect == "overflowing_detail_max":
-            manifest[first["description_id"]]["detail_max"] = 1e400
         elif defect == "descriptions_not_array":
             run["descriptions"] = {d["description_id"]: d for d in run["descriptions"]}
         elif defect == "final_not_object":
             first["final"] = [1]
-        elif defect == "string_expected_fields":
-            manifest[first["description_id"]]["expected_fields"] = "part_name"
-        elif defect == "string_allowed_attributes":
-            manifest[first["description_id"]]["allowed_attributes"] = "part_name"
         elif defect == "non_string_system_id":
             run["system_id"] = 5
         elif defect == "output_not_object":

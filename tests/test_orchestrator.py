@@ -49,6 +49,7 @@ from partspec.gateway import (
 from partspec.orchestrator import (
     ConfigError,
     EnsembleConfig,
+    batch_executors,
     build_prompt,
     extract_phase,
     identify_gaps,
@@ -687,7 +688,12 @@ class TestRunPipeline:
         # The fan-out workers were joined before the review call started.
         assert workers and alive_at_review == [False]
 
-    def test_replay_roster_with_library_invoke_runs_on_calling_thread(self, corpus, monkeypatch):
+    @pytest.mark.parametrize(
+        "invoke_fn", [gateway.invoke, partial(gateway.invoke, env={})], ids=["bare", "env_bound"]
+    )
+    def test_replay_roster_with_library_invoke_runs_on_calling_thread(
+        self, corpus, monkeypatch, invoke_fn
+    ):
         threads = _record_call_threads(monkeypatch)
         monkeypatch.setattr(orchestrator, "ThreadPoolExecutor", _no_pool)
         config = EnsembleConfig.from_file(corpus.config_path)
@@ -695,7 +701,11 @@ class TestRunPipeline:
         case = corpus.cases[2]
         description = PartDescription(case.description_id, case.text, case.category)
         result = run_pipeline(
-            description, config, FlatIndex.load(corpus.index_dir), SpecSchema.default()
+            description,
+            config,
+            FlatIndex.load(corpus.index_dir),
+            SpecSchema.default(),
+            invoke_fn=invoke_fn,
         )
         assert result.to_json() == corpus.results[2].to_json()
         assert result.phase2_results
@@ -703,7 +713,7 @@ class TestRunPipeline:
         calls = len(result.phase1_results) + len(result.phase2_results) + 1
         assert threads == [threading.current_thread().name] * calls
 
-    @pytest.mark.parametrize("variant", ["http_entry", "bound_invoke"])
+    @pytest.mark.parametrize("variant", ["http_entry", "wrapped_invoke"])
     def test_other_rosters_and_invokes_keep_one_pool_per_description(
         self, corpus, monkeypatch, variant
     ):
@@ -722,7 +732,10 @@ class TestRunPipeline:
                 gateway.HttpBackend, "complete", lambda backend, request: replay.complete(request)
             )
         else:
-            invoke_fn = partial(gateway.invoke, env={})
+            # Calls the library's invoke, but the pipeline cannot know that.
+            def invoke_fn(provider, request):
+                return gateway.invoke(provider, request, env={})
+
         index = FlatIndex.load(corpus.index_dir)
         for position in (0, 2):
             case = corpus.cases[position]
@@ -769,6 +782,46 @@ class TestRunPipeline:
         }
         assert data["context_used"]["research"] is None
         assert data["final"]["provenance"]["synthesis_pass"] == "applied: synth"
+
+
+def _threads_of(executor):
+    """The threads `executor` runs four mapped tasks on."""
+    return set(executor.map(lambda _: threading.current_thread(), range(4)))
+
+
+class TestBatchExecutors:
+    @pytest.mark.parametrize(
+        "invoke_fn",
+        [gateway.invoke, partial(gateway.invoke), partial(gateway.invoke, env={})],
+        ids=["bare", "nothing_bound", "env_bound"],
+    )
+    def test_library_invoke_on_a_replay_roster_runs_on_the_calling_thread(self, invoke_fn):
+        with batch_executors(_config(), invoke_fn) as (descriptions, calls):
+            assert _threads_of(descriptions) == _threads_of(calls) == {threading.current_thread()}
+
+    @pytest.mark.parametrize(
+        "invoke_fn",
+        [
+            partial(gateway.invoke, env={}, backend=gateway.ReplayBackend(_provider("alpha"))),
+            partial(gateway.invoke, sleep=time.sleep),
+            _echo_invoke(),
+            lambda provider, request: gateway.invoke(provider, request),
+        ],
+        ids=["bound_backend", "bound_sleep", "fake", "wrapper"],
+    )
+    def test_any_other_invoke_keeps_the_pools(self, invoke_fn):
+        config = _config()
+        for width in (1, 3):
+            with batch_executors(config, invoke_fn, width) as (descriptions, calls):
+                assert threading.current_thread() not in _threads_of(descriptions)
+                assert threading.current_thread() not in _threads_of(calls)
+                assert descriptions._max_workers == width
+                assert calls._max_workers == width * len(config.roster)
+
+    def test_pools_are_closed_on_exit(self):
+        with batch_executors(_config(), _echo_invoke(), 2) as (descriptions, calls):
+            workers = _threads_of(descriptions) | _threads_of(calls)
+        assert not any(worker.is_alive() for worker in workers)
 
 
 _CORPUS_DOCUMENTS = st.one_of(
@@ -876,15 +929,6 @@ def _scripted_invoke(outcomes, calls):
     return call
 
 
-def _batch(run_one, descriptions, config, width):
-    """run_one over descriptions the way the CLI runs a batch of `width`."""
-    with (
-        ThreadPoolExecutor(width * len(config.roster)) as calls,
-        ThreadPoolExecutor(width) as batch,
-    ):
-        return list(batch.map(partial(run_one, executor=calls), descriptions))
-
-
 @pytest.fixture(scope="module")
 def corpus_index(corpus):
     return FlatIndex.load(corpus.index_dir)
@@ -906,13 +950,10 @@ class TestExecutionPaths:
             for step in _STEPS
         }
         calls: list[tuple[str, str, str]] = []
+        invoke_fn = _scripted_invoke(outcomes, calls)
         schema = SpecSchema.default()
         run_one = partial(
-            run_pipeline,
-            config=config,
-            index=corpus_index,
-            schema=schema,
-            invoke_fn=_scripted_invoke(outcomes, calls),
+            run_pipeline, config=config, index=corpus_index, schema=schema, invoke_fn=invoke_fn
         )
         descriptions = [PartDescription(c.description_id, c.text, c.category) for c in cases]
 
@@ -921,7 +962,8 @@ class TestExecutionPaths:
             runs.append([run_one(d, executor=one_worker) for d in descriptions])
         runs.append([run_one(d) for d in descriptions])
         for width in (1, 8):
-            runs.append(_batch(run_one, descriptions, config, width))
+            with batch_executors(config, invoke_fn, width) as (batch, pool):
+                runs.append(list(batch.map(partial(run_one, executor=pool), descriptions)))
 
         first = [result.to_json() for result in runs[0]]
         assert all([result.to_json() for result in run] == first for run in runs[1:])
