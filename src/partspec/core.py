@@ -12,7 +12,7 @@ import re
 import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Any
 
@@ -94,6 +94,9 @@ def canonicalize_value(raw: str) -> str:
     return " ".join(raw.split()).casefold()
 
 
+# Every model document repeats the same few field names, so the last results
+# are kept; the bound keeps the cache small whatever names arrive.
+@lru_cache(maxsize=256)
 def canonicalize_field_name(raw: str) -> str:
     """Canonicalize a field name to [a-z0-9_].
 
@@ -148,14 +151,19 @@ class SpecSchema:
 
     def kind_of(self, name: str) -> str | None:
         """Declared kind for a recognized field, None for unrecognized."""
-        kind = self.field_kinds.get(name)
-        if kind is None and name in self.required_fields:
-            return SCALAR_TEXT
-        return kind
+        return self._kinds.get(name)
+
+    @cached_property
+    def _kinds(self) -> dict[str, str]:
+        return {**dict.fromkeys(self.required_fields, SCALAR_TEXT), **self.field_kinds}
 
     @cached_property
     def known_fields(self) -> frozenset[str]:
-        return frozenset(self.required_fields) | frozenset(self.field_kinds)
+        return frozenset(self._kinds)
+
+    @cached_property
+    def _required(self) -> frozenset[str]:
+        return frozenset(self.required_fields)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> SpecSchema:
@@ -191,10 +199,12 @@ class SpecSchema:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldClaim:
     """One model's assertion about one field in one phase."""
 
+    # Slots: a run holds dozens of claims per description, and a slotted
+    # claim is a third smaller than one with an instance dict.
     field: str
     value: str
     canonical_value: str
@@ -218,14 +228,10 @@ class FieldClaim:
         in_schema: bool = True,
     ) -> FieldClaim:
         """Build a claim with the canonical value derived from the raw one."""
+        # Positional: keyword arguments slow the constructor call, and a model
+        # document makes dozens of claims.
         return cls(
-            field=field,
-            value=value,
-            canonical_value=canonicalize_value(value),
-            confidence=confidence,
-            source_model=source_model,
-            phase=phase,
-            in_schema=in_schema,
+            field, value, canonicalize_value(value), confidence, source_model, phase, in_schema
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -381,7 +387,7 @@ def _nested_leaves(
         path = f"{prefix}.{name}" if prefix else name
         leaf, confidence, conf_issues = _unwrap(value, path)
         issues.extend(conf_issues)
-        if isinstance(leaf, Mapping):
+        if _is_mapping(leaf):
             inner, inner_issues = _nested_leaves(leaf, path)
             leaves.extend(inner)
             issues.extend(inner_issues)
@@ -390,24 +396,33 @@ def _nested_leaves(
     return leaves, issues
 
 
+def _is_mapping(value: Any) -> bool:
+    """`isinstance(value, Mapping)`, deciding the common JSON types without
+    the slower abstract-class check."""
+    cls = type(value)
+    return cls is dict or (cls is not str and isinstance(value, Mapping))
+
+
 def render_leaf_value(value: Any) -> str:
     """Render one field value as text: the form claims and KB records share.
 
     None is empty, booleans are lowercase, maps render as
     `render_nested_value`, and arrays join their items with ", ".
     """
+    if type(value) is str:
+        return value
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Mapping):
+    if _is_mapping(value):
         return render_nested_value(value)
     if isinstance(value, (list, tuple)):
         return ", ".join(render_leaf_value(item) for item in value)
     return str(value)
 
 
-def _unwrap(value: Any, path: str) -> tuple[Any, float | None, list[ValidationIssue]]:
+def _unwrap(value: Any, path: str) -> tuple[Any, float | None, tuple[ValidationIssue, ...]]:
     """Unwrap an optional {"value": ..., "confidence": ...} envelope.
 
     A mapping is treated as an envelope only when "value" is its sole key
@@ -416,20 +431,23 @@ def _unwrap(value: Any, path: str) -> tuple[Any, float | None, list[ValidationIs
     not a number in [0, 1] is clamped (1.0 if not a number) and reported
     rather than rejected.
     """
-    is_envelope = isinstance(value, Mapping) and "value" in value
-    if not (is_envelope and set(value) <= {"value", "confidence"}):
-        return value, None, []
+    if not (
+        _is_mapping(value)
+        and "value" in value
+        and (len(value) == 1 or (len(value) == 2 and "confidence" in value))
+    ):
+        return value, None, ()
     confidence = value.get("confidence", 1.0)
     if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
         found, clamped = repr(confidence), 1.0
     elif 0.0 <= confidence <= 1.0:
-        return value["value"], float(confidence), []
+        return value["value"], float(confidence), ()
     else:
         # An int too large to be a float is reported as written.
         found = repr(float(confidence) if abs(confidence) <= sys.float_info.max else confidence)
         clamped = float(min(1.0, max(0.0, confidence)))
     issue = ValidationIssue(KIND_MISMATCH, f"{path}.confidence", "number in [0, 1]", found)
-    return value["value"], clamped, [issue]
+    return value["value"], clamped, (issue,)
 
 
 def _has_digit(text: str) -> bool:
@@ -453,11 +471,10 @@ def validate_spec_document(
     are collected into the issues report instead. `call`, the provider call
     the document came from, is kept on the result.
     """
+    is_object = _is_mapping(document)
     if raw_output is None:
-        raw_output = (
-            json.dumps(document, sort_keys=True) if isinstance(document, Mapping) else str(document)
-        )
-    if not isinstance(document, Mapping):
+        raw_output = json.dumps(document, sort_keys=True) if is_object else str(document)
+    if not is_object:
         return ExtractionResult(
             model_id=model_id,
             phase=phase,
@@ -489,7 +506,7 @@ def validate_spec_document(
         confidence = 1.0 if confidence is None else confidence
         issues.extend(conf_issues)
 
-        if isinstance(leaf, Mapping):
+        if _is_mapping(leaf):
             # Nested payload: one claim for the parent plus one per leaf, so
             # consensus and detail counting both have handles.
             if in_schema and kind != NESTED_MAP:
@@ -537,7 +554,7 @@ def validate_spec_document(
 
     # Any issue on a required field, missing or of the wrong kind, invalidates
     # the document; issues elsewhere are only reported.
-    required = set(schema.required_fields)
+    required = schema._required
     return ExtractionResult(
         model_id=model_id,
         phase=phase,

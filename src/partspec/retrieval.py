@@ -146,6 +146,16 @@ def ingest_records(path: str | Path, format: str | None = None) -> list[PartReco
     seen_ids: set[str] = set()
     for ordinal, raw_fields in rows:
         location = f"{path.name}:{ordinal}"
+        flat_text = flatten_record(raw_fields)
+        try:
+            # A JSON "\ud800" escape decodes to a lone surrogate, which the
+            # embedder cannot encode.
+            flat_text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            logger.warning(
+                "%s", FormatError(location, f"record cannot be encoded as UTF-8: {exc}; skipped")
+            )
+            continue
         explicit = raw_fields.get("id")
         record_id = str(explicit) if explicit not in (None, "") else location
         if record_id in seen_ids:
@@ -155,7 +165,7 @@ def ingest_records(path: str | Path, format: str | None = None) -> list[PartReco
         records.append(
             PartRecord(
                 record_id=record_id,
-                flat_text=flatten_record(raw_fields),
+                flat_text=flat_text,
                 source=location,
                 raw_fields=raw_fields,
             )
@@ -234,14 +244,22 @@ class HashTrigramEmbedder:
             raise ValueError(f"embedding dimension must be at least 1, got {self.dimension}")
 
     def embed(self, text: str) -> np.ndarray:
-        counts = np.zeros(self.dimension, dtype=np.float64)
         if not text:
+            counts = np.zeros(self.dimension, dtype=np.float64)
             counts[0] = 1.0
             return counts.astype(np.float32)
         padded = f"##{text}##"
-        for i in range(len(padded) - 2):
-            bucket = zlib.crc32(padded[i : i + 3].encode("utf-8")) % self.dimension
-            counts[bucket] += 1.0
+        dimension = self.dimension
+        if padded.isascii():
+            # One byte per character: each trigram's UTF-8 bytes are a slice.
+            raw = padded.encode("ascii")
+            buckets = [zlib.crc32(raw[i : i + 3]) % dimension for i in range(len(raw) - 2)]
+        else:
+            buckets = [
+                zlib.crc32(padded[i : i + 3].encode("utf-8")) % dimension
+                for i in range(len(padded) - 2)
+            ]
+        counts = np.bincount(buckets, minlength=dimension).astype(np.float64)
         counts /= np.linalg.norm(counts)
         return counts.astype(np.float32)
 
@@ -288,7 +306,10 @@ class FlatIndex:
         self._flat_texts = tuple(flat_texts)
         self._sources = tuple(sources)
         self._embedder = embedder
-        self._id_array = np.asarray(self._record_ids, dtype=np.str_) if record_ids else np.empty(0)
+        # Each row's position in record-id order: the tie-break key of search.
+        by_id = sorted(range(len(self._record_ids)), key=self._record_ids.__getitem__)
+        self._id_rank = np.empty(len(by_id), dtype=np.intp)
+        self._id_rank[by_id] = np.arange(len(by_id))
 
     @classmethod
     def build(cls, records: Sequence[PartRecord], embedder: Embedder) -> FlatIndex:
@@ -318,7 +339,11 @@ class FlatIndex:
         return self._embedder
 
     def search(self, query_text: str, k: int, threshold: float) -> RetrievedContext:
-        """Return the k highest-cosine records at or above the threshold."""
+        """Return the k highest-cosine records at or above the threshold.
+
+        Only the rows at or above the k-th highest similarity are sorted,
+        so the order of the hits is that of sorting every row.
+        """
         if k < 0:
             raise ValueError("k must be >= 0")
         if self.count == 0:
@@ -326,12 +351,16 @@ class FlatIndex:
             return RetrievedContext.empty(query_text, k, threshold)
         query = embed_text(query_text, self._embedder)
         similarities = self._matrix @ query
+        rows = np.arange(self.count)
+        if 0 < k < self.count:
+            # Every row tied with the k-th highest similarity stays, so the
+            # id tie-break below sees all of them.
+            kth = np.partition(similarities, self.count - k)[self.count - k]
+            rows = np.flatnonzero(similarities >= kth)
         # Primary key: similarity descending; secondary: record id ascending.
-        order = np.lexsort((self._id_array, -similarities))
+        order = rows[np.lexsort((self._id_rank[rows], -similarities[rows]))]
         hits: list[Hit] = []
-        for row in order:
-            if len(hits) >= k:
-                break
+        for row in order[:k].tolist():
             similarity = float(similarities[row])
             if similarity < threshold:
                 break

@@ -13,6 +13,7 @@ import logging
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any
 
 from . import gateway
@@ -172,37 +173,42 @@ def resolve_field(
     """
     if not claims:
         raise ValueError("resolve_field needs at least one claim")
-    field_names = {claim.field for claim in claims}
-    if len(field_names) != 1:
-        raise ValueError(f"claims span multiple fields: {sorted(field_names)}")
     field_name = claims[0].field
+    if any(claim.field != field_name for claim in claims):
+        field_names = {claim.field for claim in claims}
+        raise ValueError(f"claims span multiple fields: {sorted(field_names)}")
 
-    rank = {model_id: position for position, model_id in enumerate(roster_order)}
+    rank = _roster_rank(tuple(roster_order))
 
     def model_rank(model_id: str) -> tuple[int, str]:
-        return (rank.get(model_id, len(rank)), model_id)
+        return rank.get(model_id) or (len(rank), model_id)
 
     groups: dict[str, list[FieldClaim]] = {}
     for claim in claims:
         groups.setdefault(claim.canonical_value, []).append(claim)
 
-    stats: dict[str, tuple[int, float, int, tuple[int, str]]] = {}
+    stats: dict[str, tuple[int, float, int]] = {}
     for canonical, members in groups.items():
         # fsum keeps the mean identical under any claim ordering.
         mean_conf = math.fsum(member.confidence for member in members) / len(members)
-        aligned = rag_alignment_indicator(canonical, context)
-        earliest = min(model_rank(member.source_model) for member in members)
-        stats[canonical] = (len(members), mean_conf, aligned, earliest)
+        stats[canonical] = (len(members), mean_conf, rag_alignment_indicator(canonical, context))
 
-    ranked = sorted(stats, key=lambda c: (-stats[c][0], -stats[c][1], -stats[c][2], stats[c][3], c))
-    winner_canonical = ranked[0]
+    winner_canonical = claims[0].canonical_value
     tie_break = TIE_NONE
-    if len(ranked) > 1:
+    if len(stats) > 1:
+
+        def ranking(canonical: str) -> tuple[int, float, int, tuple[int, str], str]:
+            count, mean_conf, aligned = stats[canonical]
+            earliest = min(model_rank(member.source_model) for member in groups[canonical])
+            return (-count, -mean_conf, -aligned, earliest, canonical)
+
+        ranked = sorted(stats, key=ranking)
+        winner_canonical = ranked[0]
         # The deciding rung is the first statistic separating the runner-up.
         pairs = zip(_RUNGS, stats[winner_canonical], stats[ranked[1]])
         tie_break = next((rung for rung, won, lost in pairs if won != lost), TIE_MODEL_ORDER)
     winner = groups[winner_canonical]
-    count, mean_conf, aligned, _earliest = stats[winner_canonical]
+    count, mean_conf, aligned = stats[winner_canonical]
 
     # Surface form: the most confident supporter's raw value, settled
     # deterministically on confidence ties.
@@ -228,6 +234,13 @@ def resolve_field(
         supporters=supporters,
         tie_break_used=tie_break,
     )
+
+
+@lru_cache(maxsize=16)
+def _roster_rank(roster_order: tuple[str, ...]) -> dict[str, tuple[int, str]]:
+    """Each roster model's sort key in `resolve_field`; unknown models sort
+    after the roster. Shared by every call with the roster: read it only."""
+    return {model_id: (position, model_id) for position, model_id in enumerate(roster_order)}
 
 
 def schema_instruction_text(schema: SpecSchema) -> str:

@@ -165,6 +165,16 @@ class TestExtract:
         assert documents[0]["description_id"] == "line-1"
         assert documents[0]["fields"]["part_name"]["value"] == corpus.cases[0].part_name
 
+    def test_stdin_line_with_lone_surrogate_is_usage_error(self, corpus):
+        # A stdin read with surrogateescape turns an invalid byte into one.
+        outcome = run_command(
+            _extract_args(corpus)[:2] + ["-"] + _extract_args(corpus)[3:],
+            stdin=io.StringIO("M4 washer\nM6 nut \udcff\n"),
+        )
+        assert outcome.exit_code == EXIT_USAGE
+        assert "input line 2: text cannot be encoded as UTF-8" in outcome.stderr
+        assert outcome.stdout == ""
+
     def test_text_file_input(self, corpus, tmp_path):
         listing = tmp_path / "parts.txt"
         listing.write_text(
@@ -213,8 +223,10 @@ class TestExtract:
          ({"id": "x1", "text": None}, "id and text"),
          ({"id": None, "text": "M4 washer"}, "item 24: id must be a string"),
          ({"id": {"a": 1}, "text": "M4 washer"}, "item 24: id must be a string"),
-         ({"id": "x1", "text": "M4 washer", "category": 5}, "category must be a string or null")],
-        ids=["duplicate_id", "null_text", "null_id", "object_id", "number_category"],
+         ({"id": "x1", "text": "M4 washer", "category": 5}, "category must be a string or null"),
+         ({"id": "x1", "text": "M4 washer \ud800"}, "input item 24: text cannot be encoded")],
+        ids=["duplicate_id", "null_text", "null_id", "object_id", "number_category",
+             "lone_surrogate_text"],
     )
     def test_bad_input_item_is_usage_error(self, corpus, tmp_path, item, message):
         items = json.loads(corpus.descriptions_path.read_text(encoding="utf-8"))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import example, given, settings
@@ -523,3 +524,47 @@ class TestValidationProperties:
     def test_confidences_always_in_range(self, document):
         result = _validate(document)
         assert all(0.0 <= claim.confidence <= 1.0 for claim in result.claims)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_document, _document)
+    @example(_COLLIDING_ENVELOPE, _HUGE_CONFIDENCE)
+    def test_any_mapping_reads_as_a_dict(self, document, nested):
+        document = {**document, "Specifications": nested}
+        as_dict = validate_spec_document(
+            document, SpecSchema.default(), "m1", PHASE_EXTRACTION, raw_output="raw"
+        )
+        as_mapping = validate_spec_document(
+            _ReadOnlyMapping.of(document), SpecSchema.default(), "m1", PHASE_EXTRACTION,
+            raw_output="raw",
+        )
+        assert as_mapping == as_dict
+        for claim in as_dict.claims:
+            assert claim == FieldClaim.make(
+                claim.field, claim.value, claim.confidence, claim.source_model, claim.phase,
+                claim.in_schema,
+            )
+
+
+class _ReadOnlyMapping(Mapping):
+    """A mapping that is not a dict, as a caller's own document type may be."""
+
+    def __init__(self, data):
+        self._data = data
+
+    @classmethod
+    def of(cls, value):
+        """`value` with every dict in it, however deep, made one of these."""
+        if isinstance(value, dict):
+            return cls({key: cls.of(item) for key, item in value.items()})
+        if isinstance(value, list):
+            return [cls.of(item) for item in value]
+        return value
+
+    def __getitem__(self, key):
+        return self._data[key]
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self):
+        return len(self._data)

@@ -174,6 +174,30 @@ class TestFixtureReads:
         assert text == path.read_text(encoding="utf-8")
         assert text == '{"part_name": "Bolt \u00e9"}\n\nline\nend\n'
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xef\xbb\xbf{}\r\n", b"\r\r\n\r", b"a\rb\r\nc\n\rd\r", b"", b"x" * 70_000 + b"\r\n"],
+        ids=["byte_order_mark", "cr_before_crlf", "mixed_newlines", "empty", "past_one_read"],
+    )
+    def test_newlines_and_byte_order_mark_as_text_mode_reads_them(self, fixtures_dir, content):
+        path = fixture_path(fixtures_dir, "model-a", REQUEST.user_text)
+        path.parent.mkdir()
+        path.write_bytes(content)
+        with open(path, encoding="utf-8") as text_mode:
+            expected = text_mode.read()
+        assert ReplayBackend(_replay_config(fixtures_dir)).complete(REQUEST) == expected
+
+    def test_invalid_utf8_fails_as_text_mode_read_does(self, fixtures_dir):
+        path = fixture_path(fixtures_dir, "model-a", REQUEST.user_text)
+        path.parent.mkdir()
+        path.write_bytes(b'{"a": 1}\r\n\xff')
+        with pytest.raises(UnicodeDecodeError) as text_mode:
+            path.read_text(encoding="utf-8")
+        outcome = invoke(_replay_config(fixtures_dir), REQUEST)
+        assert outcome.failure == Failure(
+            FAIL_TRANSPORT, f"unexpected backend error: {text_mode.value}"
+        )
+
 
 class _FlakyBackend:
     """Scripted backend: raises each queued error, then succeeds."""

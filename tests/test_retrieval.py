@@ -135,11 +135,14 @@ class TestIngestRecords:
 
     def test_json_bad_element_skipped(self, tmp_path, caplog):
         kb = tmp_path / "kb.json"
-        kb.write_text('[{"id": "B1"}, 42, {"id": "B2"}]', encoding="utf-8")
+        # JSON "\\ud800" decodes to a lone surrogate, which UTF-8 cannot encode.
+        kb.write_text('[{"id": "B1"}, 42, {"id": "B2"}, {"id": "B3", "note": "\\ud800"}]',
+                      encoding="utf-8")
         with caplog.at_level(logging.WARNING, logger="partspec.retrieval"):
             records = ingest_records(kb)
         assert [record.record_id for record in records] == ["B1", "B2"]
         assert any("kb.json:1" in message for message in caplog.messages)
+        assert any("kb.json:3" in message and "UTF-8" in message for message in caplog.messages)
 
     def test_invalid_json_rejected(self, tmp_path):
         kb = tmp_path / "kb.json"
@@ -300,6 +303,30 @@ class TestFlatIndexSearch:
         rng = random.Random(seed)
         index = FlatIndex.build(_corpus(25, seed=seed), HashTrigramEmbedder(48))
         query = " ".join(rng.choice(["steel", "bolt", "valve", "gear", "size 9"]) for _ in range(3))
+        context = index.search(query, k, threshold)
+        expected = brute_force_search(index, query, k, threshold)
+        assert [(hit.record_id, hit.similarity) for hit in context.hits] == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        texts=st.lists(
+            st.sampled_from(["hex bolt steel", "hex bolt", "brass valve", "gear 12", "g"]),
+            min_size=1,
+            max_size=14,
+        ),
+        data=st.data(),
+    )
+    def test_ties_at_the_kth_similarity_keep_the_oracle_order(self, texts, data):
+        # Repeated texts embed identically, so their similarities tie wherever
+        # the k-th hit falls; the ids are drawn so id order is not row order.
+        ids = data.draw(st.lists(st.text(min_size=1, max_size=3), min_size=len(texts),
+                                 max_size=len(texts), unique=True))
+        index = FlatIndex.build(
+            [PartRecord(rid, text, "s") for rid, text in zip(ids, texts)], HashTrigramEmbedder(32)
+        )
+        query = data.draw(st.sampled_from([*texts, "bolt"]))
+        k = data.draw(st.integers(min_value=0, max_value=len(texts) + 2))
+        threshold = data.draw(st.one_of(st.just(-1.0), st.floats(min_value=-1.0, max_value=1.0)))
         context = index.search(query, k, threshold)
         expected = brute_force_search(index, query, k, threshold)
         assert [(hit.record_id, hit.similarity) for hit in context.hits] == expected
