@@ -223,8 +223,8 @@ def _read_text(path: str) -> str:
     """The text `open(path, encoding="utf-8").read()` returns: strict UTF-8,
     CRLF and a lone CR read as LF, and a byte order mark kept.
 
-    Reads the bytes with `os.read` and decodes them whole, which costs a
-    quarter of what building a text-mode stream does.
+    Reads the bytes with `os.read` and decodes them whole, which costs about
+    a third of what opening a text-mode stream does.
     """
     fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
     try:

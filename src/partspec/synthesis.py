@@ -173,10 +173,10 @@ def resolve_field(
     """
     if not claims:
         raise ValueError("resolve_field needs at least one claim")
-    field_name = claims[0].field
-    if any(claim.field != field_name for claim in claims):
-        field_names = {claim.field for claim in claims}
+    field_names = {claim.field for claim in claims}
+    if len(field_names) != 1:
         raise ValueError(f"claims span multiple fields: {sorted(field_names)}")
+    field_name = claims[0].field
 
     rank = _roster_rank(tuple(roster_order))
 
