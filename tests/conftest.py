@@ -40,13 +40,20 @@ def finishes_within(seconds, fn):
 class ScriptedHandler(BaseHTTPRequestHandler):
     """Answers each POST with the next scripted status (200 when empty).
 
-    -1 answers 200 after a one-second stall, -2 answers 200 with a body
-    that is not JSON. Every request's Authorization header is recorded.
+    -1 answers 200 after a one-second stall. -2, -3 and -4 answer 200 with
+    a body that is no usable completion: not JSON, an object without
+    `choices`, and a message whose content is null. Every request's
+    Authorization header is recorded.
     """
 
     script: list[int] = []
     lock = threading.Lock()
     seen_auth: list[str | None] = []
+    broken_bodies = {
+        -2: b"not json",
+        -3: b'{"id": "no-choices"}',
+        -4: b'{"choices": [{"message": {"content": null}}]}',
+    }
 
     def do_POST(self):
         with self.lock:
@@ -57,11 +64,11 @@ class ScriptedHandler(BaseHTTPRequestHandler):
         if status == -1:
             time.sleep(1.0)
             status = 200
-        if status == -2:
+        if status in self.broken_bodies:
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.end_headers()
-            self.wfile.write(b"not json")
+            self.wfile.write(self.broken_bodies[status])
             return
         body = json.dumps(
             {"choices": [{"message": {"content": '{"part_name": "bolt"}'}}]}

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import os
 import time
 from functools import partial
 from urllib.parse import urlsplit
@@ -29,6 +31,7 @@ from partspec.gateway import (
     KIND_HTTP,
     KIND_REPLAY,
     AuthError,
+    BackendError,
     BackendTimeout,
     HttpBackend,
     PromptRequest,
@@ -478,6 +481,123 @@ class TestHttpBackend:
         [(target, headers)] = keepalive_server.received
         assert target == "/v1/chat/completions"
         assert "Proxy-Authorization" not in headers
+
+
+_REFUSED = repr(ConnectionRefusedError(errno.ECONNREFUSED, os.strerror(errno.ECONNREFUSED)))
+
+# Each case: the scripted replies (for `invoke`, then for one direct call),
+# ProviderConfig overrides, the outcome `invoke` reports as (kind, detail,
+# attempt count), and whether the error the backend raises is retryable.
+# "{where}" in a detail stands for the endpoint's pool name and "{fixture}"
+# for the fixture path.
+_PROVIDER_FAILURES = [
+    pytest.param([401] * 2, {}, FAIL_AUTH, "HTTP 401", 1, False, id="http_401"),
+    pytest.param([403] * 2, {}, FAIL_AUTH, "HTTP 403", 1, False, id="http_403"),
+    pytest.param(
+        [429] * 3, {}, FAIL_EXHAUSTED, "rate_limited: HTTP 429", 2, True, id="http_429_exhausted"
+    ),
+    pytest.param([500] * 3, {}, FAIL_EXHAUSTED, "transport: HTTP 500", 2, True, id="http_500"),
+    pytest.param([503] * 3, {}, FAIL_EXHAUSTED, "transport: HTTP 503", 2, True, id="http_503"),
+    pytest.param(
+        [-2] * 3,
+        {},
+        FAIL_EXHAUSTED,
+        "transport: malformed completion body: Expecting value: line 1 column 1 (char 0)",
+        2,
+        True,
+        id="body_not_json",
+    ),
+    pytest.param(
+        [-3] * 3,
+        {},
+        FAIL_EXHAUSTED,
+        "transport: malformed completion body: 'choices'",
+        2,
+        True,
+        id="body_without_choices",
+    ),
+    pytest.param(
+        [-4] * 3,
+        {},
+        FAIL_EXHAUSTED,
+        "transport: completion content is not a string",
+        2,
+        True,
+        id="content_null",
+    ),
+    pytest.param(
+        [-1] * 2,
+        {"timeout": 0.2},
+        FAIL_TIMEOUT,
+        "{where}: Read timed out. (read timeout=0.2)",
+        1,
+        False,
+        id="read_timeout",
+    ),
+    pytest.param(
+        [],
+        {"endpoint": "http://127.0.0.1:1/v1/chat/completions"},
+        FAIL_EXHAUSTED,
+        f"transport: HTTPConnectionPool(host='127.0.0.1', port=1): {_REFUSED}",
+        2,
+        True,
+        id="connection_refused",
+    ),
+    pytest.param(
+        [],
+        {"credentials_env": "PART_KEY"},
+        FAIL_AUTH,
+        "environment variable 'PART_KEY' is not set",
+        1,
+        False,
+        id="missing_credentials",
+    ),
+    pytest.param(
+        [],
+        {"kind": KIND_REPLAY, "endpoint": None, "fixtures_dir": "fixtures"},
+        FAIL_TRANSPORT,
+        "no fixture at {fixture}",
+        1,
+        False,
+        id="missing_fixture",
+    ),
+]
+
+
+class TestProviderFailureOutcomes:
+    """Every way a provider call fails, pinned as `invoke` reports it."""
+
+    @pytest.mark.parametrize(
+        ("script", "overrides", "kind", "detail", "attempts", "retryable"), _PROVIDER_FAILURES
+    )
+    def test_outcome(
+        self, http_server, pool, tmp_path, monkeypatch, script, overrides, kind, detail,
+        attempts, retryable,
+    ):
+        monkeypatch.chdir(tmp_path)
+        ScriptedHandler.script = list(script)
+        config = _http_config(**{"endpoint": http_server, "max_retries": 1, **overrides})
+        url = urlsplit(http_server)
+        expected = detail.format(
+            where=f"HTTPConnectionPool(host={url.hostname!r}, port={url.port})",
+            fixture=fixture_path("fixtures", config.model_id, REQUEST.user_text),
+        )
+        outcome = invoke(config, REQUEST, env={}, sleep=lambda s: None)
+        assert outcome.failure is not None
+        assert (outcome.failure.kind, outcome.failure.detail, outcome.attempt_count) == (
+            kind,
+            expected,
+            attempts,
+        )
+        # perfbench counts failed calls by the kind the backend's error carries.
+        if config.kind == KIND_REPLAY:
+            backend = ReplayBackend(config)
+        else:
+            backend = HttpBackend(config, env={}, connections=pool)
+        with pytest.raises(BackendError) as raised:
+            backend.complete(REQUEST)
+        assert raised.value.failure_kind in _FAILURE_KINDS
+        assert raised.value.retryable is retryable
 
 
 def _clear_proxy_env(monkeypatch):
