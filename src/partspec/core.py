@@ -330,6 +330,19 @@ class ExtractionResult:
         if len(names) != len(set(names)):
             raise ValueError("claims must be duplicate-free by field name")
 
+    @classmethod
+    def failed(
+        cls,
+        model_id: str,
+        phase: str,
+        failure: Failure,
+        raw_output: str = "",
+        call: ProviderResponse | None = None,
+    ) -> ExtractionResult:
+        """The result of a call or document that yielded no claims: `failure`
+        says why, and it is schema-invalid."""
+        return cls(model_id, phase, (), False, raw_output, failure, (), call)
+
     def field_names(self) -> frozenset[str]:
         return frozenset(claim.field for claim in self.claims)
 
@@ -475,15 +488,8 @@ def validate_spec_document(
     if raw_output is None:
         raw_output = json.dumps(document, sort_keys=True) if is_object else str(document)
     if not is_object:
-        return ExtractionResult(
-            model_id=model_id,
-            phase=phase,
-            claims=(),
-            schema_valid=False,
-            raw_output=raw_output,
-            failure=Failure(FAIL_PARSE, "top-level value is not an object"),
-            call=call,
-        )
+        failure = Failure(FAIL_PARSE, "top-level value is not an object")
+        return ExtractionResult.failed(model_id, phase, failure, raw_output, call)
 
     issues: list[ValidationIssue] = []
     claims: list[FieldClaim] = []

@@ -54,6 +54,7 @@ __all__ = [
     "ProviderConfig",
     "PromptRequest",
     "ProviderResponse",
+    "BackendError",
     "ReplayBackend",
     "HttpBackend",
     "fixture_key",
@@ -78,6 +79,9 @@ BACKOFF_FACTOR = 2.0
 
 _ENV_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _DEFAULT_PORTS = {"http": 80, "https": 443}
+# Failure kinds of the HTTP statuses that are not plain transport failures.
+# Every status failure but an auth one may pass on a retry.
+_STATUS_KINDS = {401: FAIL_AUTH, 403: FAIL_AUTH, 429: FAIL_RATE_LIMITED}
 
 
 @dataclass(frozen=True)
@@ -156,33 +160,14 @@ class PromptRequest:
 
 
 class BackendError(Exception):
-    """Base for backend call failures; `retryable` drives the retry loop."""
+    """A backend call failed. `failure_kind` is one of core's failure kinds,
+    the message is the failure's detail, and `retryable` tells `invoke`
+    whether another attempt may succeed."""
 
-    retryable = False
-    failure_kind = FAIL_TRANSPORT
-
-
-class TransportError(BackendError):
-    retryable = True
-    failure_kind = FAIL_TRANSPORT
-
-
-class RateLimitedError(BackendError):
-    retryable = True
-    failure_kind = FAIL_RATE_LIMITED
-
-
-class AuthError(BackendError):
-    failure_kind = FAIL_AUTH
-
-
-class BackendTimeout(BackendError):
-    failure_kind = FAIL_TIMEOUT
-
-
-class FixtureMissing(BackendError):
-    # A missing fixture will stay missing; retrying would only waste time.
-    failure_kind = FAIL_TRANSPORT
+    def __init__(self, failure_kind: str, detail: str, retryable: bool = False) -> None:
+        super().__init__(detail)
+        self.failure_kind = failure_kind
+        self.retryable = retryable
 
 
 class Backend(Protocol):
@@ -212,11 +197,12 @@ class ReplayBackend:
         fixtures_dir, model_id = self.config.fixtures_dir, self.config.model_id
         assert fixtures_dir is not None
         key = fixture_key(model_id, request.user_text)
+        path = f"{_fixture_prefix(fixtures_dir, model_id)}{key}.txt"
         try:
-            return _read_text(f"{_fixture_prefix(fixtures_dir, model_id)}{key}.txt")
+            return _read_text(path)
         except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-            path = fixture_path(fixtures_dir, model_id, request.user_text)
-            raise FixtureMissing(f"no fixture at {path}") from None
+            # A missing fixture will stay missing; retrying would only waste time.
+            raise BackendError(FAIL_TRANSPORT, f"no fixture at {path}") from None
 
 
 def _read_text(path: str) -> str:
@@ -271,7 +257,9 @@ class HttpBackend:
         if config.credentials_env:
             key = self._env.get(config.credentials_env)
             if not key:
-                raise AuthError(f"environment variable {config.credentials_env!r} is not set")
+                raise BackendError(
+                    FAIL_AUTH, f"environment variable {config.credentials_env!r} is not set"
+                )
             headers["Authorization"] = f"Bearer {key}"
         payload = {
             "model": config.model_id,
@@ -316,26 +304,25 @@ class HttpBackend:
             where = f"{scheme.upper()}ConnectionPool(host={host!r}, port={port})"
             if isinstance(exc, TimeoutError):
                 stage = "Read" if connected else "Connect"
-                raise BackendTimeout(
-                    f"{where}: {stage} timed out. ({stage.lower()} timeout={config.timeout})"
+                raise BackendError(
+                    FAIL_TIMEOUT,
+                    f"{where}: {stage} timed out. ({stage.lower()} timeout={config.timeout})",
                 ) from exc
             if isinstance(exc, (OSError, http.client.HTTPException)):
-                raise TransportError(f"{where}: {exc!r}") from exc
+                raise BackendError(FAIL_TRANSPORT, f"{where}: {exc!r}", retryable=True) from exc
             raise
 
-        if status in (401, 403):
-            raise AuthError(f"HTTP {status}")
-        if status == 429:
-            raise RateLimitedError("HTTP 429")
         if status != 200:
-            raise TransportError(f"HTTP {status}")
+            kind = _STATUS_KINDS.get(status, FAIL_TRANSPORT)
+            raise BackendError(kind, f"HTTP {status}", retryable=kind != FAIL_AUTH)
         try:
-            body = json.loads(data)
-            content = body["choices"][0]["message"]["content"]
+            content = json.loads(data)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise TransportError(f"malformed completion body: {exc}") from exc
+            raise BackendError(
+                FAIL_TRANSPORT, f"malformed completion body: {exc}", retryable=True
+            ) from exc
         if not isinstance(content, str):
-            raise TransportError("completion content is not a string")
+            raise BackendError(FAIL_TRANSPORT, "completion content is not a string", retryable=True)
         return content
 
 
@@ -403,12 +390,6 @@ def _dropped(sock: Any) -> bool:
     return bool(select.select([sock], [], [], 0)[0])
 
 
-def resolve_backend(config: ProviderConfig, env: Mapping[str, str] | None = None) -> Backend:
-    if config.kind == KIND_REPLAY:
-        return ReplayBackend(config)
-    return HttpBackend(config, env=env)
-
-
 def invoke(
     config: ProviderConfig,
     request: PromptRequest,
@@ -419,14 +400,15 @@ def invoke(
 ) -> ProviderResponse:
     """Call one provider with retries; never raises for provider trouble.
 
-    Transport and rate-limit errors retry with exponential backoff (0.5s
-    base, doubling) up to max_retries extra attempts; timeouts and auth
-    problems fail immediately. A retry budget that runs out reports
+    A retryable `BackendError` (transport and rate-limit trouble, but not a
+    missing fixture) is retried with exponential backoff (0.5s base,
+    doubling) up to max_retries extra attempts; any other, timeouts and
+    auth problems among them, fails at once. A retry budget that runs out reports
     "exhausted_retries" with the last underlying error in the detail. Every
     outcome carries the latency and the attempt count.
     """
     if backend is None:
-        backend = resolve_backend(config, env)
+        backend = ReplayBackend(config) if config.kind == KIND_REPLAY else HttpBackend(config, env)
     started = time.perf_counter()
     delay = BACKOFF_BASE_S
     attempts = 0
@@ -493,15 +475,8 @@ def parse_structured_output(
         detail = "no JSON object found in model output"
     except RecursionError:
         detail = "model output nests too deeply to parse"
-    return ExtractionResult(
-        model_id=response.model_id,
-        phase=phase,
-        claims=(),
-        schema_valid=False,
-        raw_output=response.raw_text,
-        failure=Failure(FAIL_PARSE, detail),
-        call=response,
-    )
+    failure = Failure(FAIL_PARSE, detail)
+    return ExtractionResult.failed(response.model_id, phase, failure, response.raw_text, response)
 
 
 def call_structured(
@@ -532,11 +507,4 @@ def call_structured(
     except Exception as exc:  # noqa: BLE001 - one bad provider must not sink the phase
         logger.warning("provider %s raised %s", provider.model_id, exc, exc_info=True)
         failure = Failure(FAIL_TRANSPORT, f"unhandled provider error: {exc}")
-    return ExtractionResult(
-        model_id=provider.model_id,
-        phase=phase,
-        claims=(),
-        schema_valid=False,
-        failure=failure,
-        call=outcome,
-    )
+    return ExtractionResult.failed(provider.model_id, phase, failure, call=outcome)

@@ -21,11 +21,6 @@ from .core import PHASE_EXTRACTION, ExtractionResult, read_json_file
 
 __all__ = [
     "MetricError",
-    "EmptyExpected",
-    "EmptyList",
-    "NonpositiveDMax",
-    "TooFewSets",
-    "MissingManifestEntry",
     "ics",
     "tdi",
     "sdq",
@@ -44,43 +39,24 @@ __all__ = [
 
 
 class MetricError(ValueError):
-    """Base class for metric input errors."""
-
-
-class EmptyExpected(MetricError):
-    """Coverage is undefined against an empty expected-field set."""
-
-
-class EmptyList(MetricError):
-    """A metric over a sequence got an empty one."""
-
-
-class NonpositiveDMax(MetricError):
-    """Depth normalization requires a positive per-part cap."""
-
-
-class TooFewSets(MetricError):
-    """Divergence needs at least two field sets to compare."""
-
-
-class MissingManifestEntry(MetricError):
-    """A scored description has no ground-truth entry."""
+    """Input a metric, the manifest or a run file cannot be scored from; the
+    message says what is wrong."""
 
 
 def ics(extracted: Iterable[str], expected: Iterable[str]) -> float:
     """Information coverage: |extracted ∩ expected| / |expected|."""
     expected_set = set(expected)
     if not expected_set:
-        raise EmptyExpected("expected field set is empty")
+        raise MetricError("expected field set is empty")
     return len(set(extracted) & expected_set) / len(expected_set)
 
 
 def tdi(detail_counts: Sequence[int], d_max: int) -> float:
     """Technical depth: mean detail count over the cap, clamped into [0, 1]."""
     if not detail_counts:
-        raise EmptyList("detail_counts is empty")
+        raise MetricError("detail_counts is empty")
     if d_max <= 0:
-        raise NonpositiveDMax(f"d_max must be positive, got {d_max}")
+        raise MetricError(f"d_max must be positive, got {d_max}")
     ratio = sum(detail_counts) / (len(detail_counts) * d_max)
     return 0.0 if ratio < 0.0 else 1.0 if ratio > 1.0 else ratio
 
@@ -88,7 +64,7 @@ def tdi(detail_counts: Sequence[int], d_max: int) -> float:
 def sdq(outputs: Sequence[ExtractionResult]) -> float:
     """Structured data quality: schema-valid outputs over all outputs."""
     if not outputs:
-        raise EmptyList("outputs is empty")
+        raise MetricError("outputs is empty")
     return sum(1 for output in outputs if output.schema_valid) / len(outputs)
 
 
@@ -100,7 +76,7 @@ def idr(field_sets: Sequence[Iterable[str]]) -> float:
     sets = [frozenset(fields) for fields in field_sets]
     n = len(sets)
     if n < 2:
-        raise TooFewSets(f"need at least 2 field sets, got {n}")
+        raise MetricError(f"need at least 2 field sets, got {n}")
     total = 0.0
     for i in range(n):
         for j in range(i + 1, n):
@@ -116,7 +92,7 @@ def ara(attributes: Sequence[str], allowed: Iterable[str]) -> float:
     Counts occurrences, not distinct names; 0.0 means fully grounded.
     """
     if not attributes:
-        raise EmptyList("attributes is empty")
+        raise MetricError("attributes is empty")
     allowed_set = set(allowed)
     extraneous = sum(1 for attribute in attributes if attribute not in allowed_set)
     return extraneous / len(attributes)
@@ -132,9 +108,9 @@ class ManifestEntry:
 
     def __post_init__(self) -> None:
         if not self.expected_fields:
-            raise EmptyExpected("expected_fields must be non-empty")
+            raise MetricError("expected_fields must be non-empty")
         if self.detail_max <= 0:
-            raise NonpositiveDMax(f"detail_max must be positive, got {self.detail_max}")
+            raise MetricError(f"detail_max must be positive, got {self.detail_max}")
 
 
 def _field_names(raw: Mapping[str, Any], key: str) -> frozenset[str]:
@@ -154,7 +130,7 @@ class GroundTruthManifest:
         try:
             return self.entries[description_id]
         except KeyError:
-            raise MissingManifestEntry(description_id) from None
+            raise MetricError(f"no manifest entry for description {description_id!r}") from None
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> GroundTruthManifest:
@@ -295,7 +271,7 @@ def evaluate_run(
     reports: list[MetricReport] = []
     for run in runs:
         if not run.descriptions:
-            raise EmptyList(f"system {run.system_id!r} has no descriptions")
+            raise MetricError(f"system {run.system_id!r} has no descriptions")
         ics_values: list[float] = []
         tdi_values: list[float] = []
         idr_values: list[float] = []

@@ -638,7 +638,7 @@ class TestEval:
         partial.write_text(json.dumps(manifest), encoding="utf-8")
         outcome = run_command(["eval", "--runs", str(runs_dir), "--manifest", str(partial)])
         assert outcome.exit_code == EXIT_USAGE
-        assert "d001" in outcome.stderr
+        assert outcome.stderr == "error: no manifest entry for description 'd001'\n"
 
     @pytest.mark.parametrize("defect", sorted(_EVAL_DEFECTS))
     def test_malformed_input_is_usage_error(self, corpus, runs_dir, tmp_path, defect):

@@ -30,16 +30,12 @@ from partspec.gateway import (
     FAIL_TRANSPORT,
     KIND_HTTP,
     KIND_REPLAY,
-    AuthError,
     BackendError,
-    BackendTimeout,
     HttpBackend,
     PromptRequest,
     ProviderConfig,
     ProviderResponse,
-    RateLimitedError,
     ReplayBackend,
-    TransportError,
     call_structured,
     extract_first_json_object,
     fixture_key,
@@ -219,7 +215,7 @@ class _FlakyBackend:
 
 class TestRetryPolicy:
     def test_retries_rate_limit_then_succeeds(self, tmp_path):
-        backend = _FlakyBackend([RateLimitedError("429"), RateLimitedError("429")])
+        backend = _FlakyBackend([BackendError(FAIL_RATE_LIMITED, "429", retryable=True)] * 2)
         sleeps: list[float] = []
         outcome = invoke(_replay_config(tmp_path), REQUEST, backend=backend, sleep=sleeps.append)
         assert outcome.failure is None
@@ -227,13 +223,13 @@ class TestRetryPolicy:
         assert sleeps == [0.5, 1.0]
 
     def test_retries_transport(self, tmp_path):
-        backend = _FlakyBackend([TransportError("reset")])
+        backend = _FlakyBackend([BackendError(FAIL_TRANSPORT, "reset", retryable=True)])
         outcome = invoke(_replay_config(tmp_path), REQUEST, backend=backend, sleep=lambda s: None)
         assert outcome.failure is None
         assert outcome.attempt_count == 2
 
     def test_exhausted_retries(self, tmp_path):
-        backend = _FlakyBackend([TransportError("reset")] * 10)
+        backend = _FlakyBackend([BackendError(FAIL_TRANSPORT, "reset", retryable=True)] * 10)
         sleeps: list[float] = []
         outcome = invoke(
             _replay_config(tmp_path, max_retries=2), REQUEST, backend=backend, sleep=sleeps.append
@@ -246,7 +242,7 @@ class TestRetryPolicy:
         assert backend.calls == 3
 
     def test_exhausted_rate_limit_detail(self, tmp_path):
-        backend = _FlakyBackend([RateLimitedError("429")] * 10)
+        backend = _FlakyBackend([BackendError(FAIL_RATE_LIMITED, "429", retryable=True)] * 10)
         outcome = invoke(
             _replay_config(tmp_path, max_retries=1), REQUEST, backend=backend, sleep=lambda s: None
         )
@@ -256,7 +252,7 @@ class TestRetryPolicy:
         assert outcome.attempt_count == 2
 
     def test_auth_fails_immediately(self, tmp_path):
-        backend = _FlakyBackend([AuthError("401")] * 10)
+        backend = _FlakyBackend([BackendError(FAIL_AUTH, "401")] * 10)
         sleeps: list[float] = []
         outcome = invoke(_replay_config(tmp_path), REQUEST, backend=backend, sleep=sleeps.append)
         assert outcome.failure is not None
@@ -265,14 +261,14 @@ class TestRetryPolicy:
         assert sleeps == []
 
     def test_timeout_fails_immediately(self, tmp_path):
-        backend = _FlakyBackend([BackendTimeout("slow")] * 10)
+        backend = _FlakyBackend([BackendError(FAIL_TIMEOUT, "slow")] * 10)
         outcome = invoke(_replay_config(tmp_path), REQUEST, backend=backend, sleep=lambda s: None)
         assert outcome.failure is not None
         assert outcome.failure.kind == FAIL_TIMEOUT
         assert outcome.attempt_count == 1
 
     def test_zero_retries_single_attempt(self, tmp_path):
-        backend = _FlakyBackend([TransportError("reset")] * 10)
+        backend = _FlakyBackend([BackendError(FAIL_TRANSPORT, "reset", retryable=True)] * 10)
         outcome = invoke(
             _replay_config(tmp_path, max_retries=0), REQUEST, backend=backend, sleep=lambda s: None
         )
@@ -289,8 +285,8 @@ class TestRetryPolicy:
     @pytest.mark.parametrize(
         ("errors", "kind", "attempts"),
         [
-            ([BackendTimeout("slow")], FAIL_TIMEOUT, 1),
-            ([TransportError("reset")] * 3, FAIL_EXHAUSTED, 3),
+            ([BackendError(FAIL_TIMEOUT, "slow")], FAIL_TIMEOUT, 1),
+            ([BackendError(FAIL_TRANSPORT, "reset", retryable=True)] * 3, FAIL_EXHAUSTED, 3),
         ],
     )
     def test_failed_call_record_reaches_the_result(self, tmp_path, errors, kind, attempts):
@@ -405,7 +401,7 @@ class TestHttpBackend:
 
             def request(self, method, target, body, headers):
                 captured.update(json.loads(body))
-                raise AuthError("stop here")
+                raise BackendError(FAIL_AUTH, "stop here")
 
             def close(self):
                 pass
@@ -698,7 +694,14 @@ _FAILURE_KINDS = [
     FAIL_EXHAUSTED,
     FAIL_PARSE,
 ]
-_EXCEPTIONS = [RuntimeError, ValueError, KeyError, OSError, TransportError, BackendTimeout]
+_EXCEPTIONS = [
+    RuntimeError,
+    ValueError,
+    KeyError,
+    OSError,
+    partial(BackendError, FAIL_TRANSPORT, retryable=True),
+    partial(BackendError, FAIL_TIMEOUT),
+]
 
 
 class TestCallStructuredProperty:

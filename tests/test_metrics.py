@@ -21,15 +21,11 @@ from partspec.core import (
 )
 from partspec.metrics import (
     DescriptionRun,
-    EmptyExpected,
-    EmptyList,
     GroundTruthManifest,
     ManifestEntry,
+    MetricError,
     MetricReport,
-    MissingManifestEntry,
-    NonpositiveDMax,
     SystemRun,
-    TooFewSets,
     ara,
     evaluate_run,
     ics,
@@ -58,7 +54,7 @@ class TestIcs:
         assert ics({"x"}, {"a"}) == 0.0
 
     def test_empty_expected_rejected(self):
-        with pytest.raises(EmptyExpected):
+        with pytest.raises(MetricError, match="expected field set is empty"):
             ics({"a"}, set())
 
     def test_empty_extracted_fine(self):
@@ -76,13 +72,13 @@ class TestTdi:
         assert tdi([0, 0, 0], 5) == 0.0
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyList):
+        with pytest.raises(MetricError, match="detail_counts is empty"):
             tdi([], 4)
 
     def test_nonpositive_dmax_rejected(self):
-        with pytest.raises(NonpositiveDMax):
+        with pytest.raises(MetricError, match="d_max must be positive, got 0"):
             tdi([1], 0)
-        with pytest.raises(NonpositiveDMax):
+        with pytest.raises(MetricError, match="d_max must be positive, got -2"):
             tdi([1], -2)
 
 
@@ -99,7 +95,7 @@ class TestSdq:
         assert sdq(outputs) == pytest.approx(0.75)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyList):
+        with pytest.raises(MetricError, match="outputs is empty"):
             sdq([])
 
 
@@ -124,9 +120,9 @@ class TestIdr:
         assert idr([set(), {"a"}]) == 1.0
 
     def test_too_few_rejected(self):
-        with pytest.raises(TooFewSets):
+        with pytest.raises(MetricError, match="need at least 2 field sets, got 1"):
             idr([{"a"}])
-        with pytest.raises(TooFewSets):
+        with pytest.raises(MetricError, match="need at least 2 field sets, got 0"):
             idr([])
 
     @settings(max_examples=150, deadline=None)
@@ -160,7 +156,7 @@ class TestAra:
         assert ara(["a", "b"], {"a", "b", "c"}) == 0.0
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyList):
+        with pytest.raises(MetricError, match="attributes is empty"):
             ara([], {"a"})
 
 
@@ -181,7 +177,7 @@ class TestManifest:
 
     def test_missing_entry_raises(self):
         manifest = GroundTruthManifest({})
-        with pytest.raises(MissingManifestEntry):
+        with pytest.raises(MetricError, match="no manifest entry for description 'nope'"):
             manifest.entry("nope")
 
     def test_unknown_keys_rejected(self):
@@ -191,9 +187,9 @@ class TestManifest:
             )
 
     def test_entry_validation(self):
-        with pytest.raises(EmptyExpected):
+        with pytest.raises(MetricError, match="expected_fields must be non-empty"):
             ManifestEntry(frozenset(), 3, frozenset())
-        with pytest.raises(NonpositiveDMax):
+        with pytest.raises(MetricError, match="detail_max must be positive, got 0"):
             ManifestEntry(frozenset({"a"}), 0, frozenset())
 
 
@@ -301,11 +297,11 @@ class TestEvaluateRun:
 
     def test_missing_manifest_entry_raises(self):
         run = SystemRun("sys-a", (DescriptionRun("unknown", (_result(True, ["a"]),), None),))
-        with pytest.raises(MissingManifestEntry):
+        with pytest.raises(MetricError, match="no manifest entry for description 'unknown'"):
             evaluate_run([run], _manifest())
 
     def test_system_without_descriptions_rejected(self):
-        with pytest.raises(EmptyList):
+        with pytest.raises(MetricError, match="system 'sys-a' has no descriptions"):
             evaluate_run([SystemRun("sys-a", ())], _manifest())
 
     def test_research_outputs_excluded_from_divergence(self):
