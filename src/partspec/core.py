@@ -486,7 +486,12 @@ def validate_spec_document(
     """
     is_object = _is_mapping(document)
     if raw_output is None:
-        raw_output = json.dumps(document, sort_keys=True) if is_object else str(document)
+        try:
+            raw_output = json.dumps(document, sort_keys=True) if is_object else str(document)
+        except TypeError:
+            # Not encodable as JSON: a mapping that is not a dict, a set
+            # value, or keys of mixed types.
+            raw_output = str(document)
     if not is_object:
         failure = Failure(FAIL_PARSE, "top-level value is not an object")
         return ExtractionResult.failed(model_id, phase, failure, raw_output, call)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Mapping
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -458,6 +459,22 @@ class TestValidateSpecDocument:
             {"part_name": "Bolt"}, SpecSchema.default(), "m1", PHASE_EXTRACTION, raw_output=raw
         )
         assert result.raw_output == raw
+
+    @pytest.mark.parametrize(
+        ("document", "raw_output"),
+        [
+            ({"part_name": "Bolt", "b": [1]}, '{"b": [1], "part_name": "Bolt"}'),
+            (MappingProxyType({"part_name": "Bolt"}), "{'part_name': 'Bolt'}"),
+            ({"part_name": "Bolt", "a": {"zinc"}}, "{'part_name': 'Bolt', 'a': {'zinc'}}"),
+            ({"part_name": "Bolt", 7: "seven"}, "{'part_name': 'Bolt', 7: 'seven'}"),
+        ],
+        ids=["json_dict", "mappingproxy", "set_value", "mixed_key_types"],
+    )
+    def test_raw_output_defaults_to_the_document(self, document, raw_output):
+        result = validate_spec_document(document, SpecSchema.default(), "m1", PHASE_EXTRACTION)
+        assert result.raw_output == raw_output
+        assert result.failure is None
+        assert "part_name" in result.field_names()
 
 
 _json_leaf = st.one_of(
