@@ -373,8 +373,17 @@ class FlatIndex:
         Blob layout: 16-byte header (magic "SFIX", version u32, count u32,
         dim u32, all little-endian) followed by row-major little-endian
         float32 vectors. The round trip is bit-exact.
+
+        The manifest records the embedder's `spec()`, which `load` rebuilds
+        it from; an embedder without one is refused before anything is
+        written, since the index would load with another embedder.
         """
         directory = Path(directory)
+        if not hasattr(self._embedder, "spec"):
+            raise ValueError(
+                f"{directory}: cannot save an index whose embedder "
+                f"({type(self._embedder).__name__}) has no spec() to rebuild it from"
+            )
         directory.mkdir(parents=True, exist_ok=True)
         blob = _HEADER.pack(INDEX_MAGIC, INDEX_VERSION, self.count, self.dimension)
         blob += np.ascontiguousarray(self._matrix, dtype="<f4").tobytes()
@@ -382,7 +391,7 @@ class FlatIndex:
         manifest = {
             "version": INDEX_VERSION,
             "dimension": self.dimension,
-            "embedder": self._embedder.spec() if hasattr(self._embedder, "spec") else None,
+            "embedder": self._embedder.spec(),
             "records": [
                 {"record_id": rid, "flat_text": text, "source": source}
                 for rid, text, source in zip(self._record_ids, self._flat_texts, self._sources)
@@ -432,6 +441,15 @@ class FlatIndex:
                     f"{directory}: manifest record {position} needs a string record_id "
                     "and flat_text"
                 )
+            try:
+                # A JSON "\ud800" escape decodes to a lone surrogate, which no
+                # prompt holding this record could be encoded with.
+                entry["flat_text"].encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ValueError(
+                    f"{directory}: manifest record {position} flat_text cannot be encoded "
+                    f"as UTF-8: {exc}"
+                ) from None
         embedder = _embedder_from_spec(manifest.get("embedder"), dim, directory)
         if embedder.dimension != dim:
             raise ValueError(

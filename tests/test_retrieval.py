@@ -458,6 +458,29 @@ class TestPersistence:
         with pytest.raises(ValueError, match=re.escape(str(tmp_path))):
             FlatIndex.load(tmp_path)
 
+    def test_lone_surrogate_flat_text_rejected(self, tmp_path):
+        FlatIndex.build(_corpus(2), HashTrigramEmbedder(16)).save(tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["records"][1]["flat_text"] = "steel bolt \ud800"
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        message = f"{tmp_path}: manifest record 1 flat_text cannot be encoded as UTF-8"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FlatIndex.load(tmp_path)
+
+    def test_embedder_without_spec_refused_before_writing(self, tmp_path):
+        class _SpeclessEmbedder:
+            dimension = 16
+
+            def embed(self, text):
+                return HashTrigramEmbedder(16).embed(text.upper())
+
+        index = FlatIndex.build(_corpus(4), _SpeclessEmbedder())
+        with pytest.raises(ValueError, match="_SpeclessEmbedder.*has no spec"):
+            index.save(tmp_path / "index")
+        # Saved, it would load with a HashTrigramEmbedder and search with it.
+        assert not (tmp_path / "index").exists()
+
     def test_embedder_restored_from_manifest(self, tmp_path):
         index = FlatIndex.build(_corpus(4), HashTrigramEmbedder(32))
         index.save(tmp_path)
