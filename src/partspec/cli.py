@@ -24,7 +24,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, TextIO
 
-from .core import PartDescription, SpecSchema, decode_json
+from .core import PartDescription, SpecSchema, check_utf8, decode_json, read_text_file
 from .gateway import invoke
 from .metrics import GroundTruthManifest, evaluate_run, load_runs_dir
 from .orchestrator import EnsembleConfig, batch_executors, run_pipeline
@@ -221,7 +221,7 @@ def _read_descriptions(source: str, stdin: TextIO) -> list[PartDescription]:
     if source == "-":
         text = stdin.read()
     else:
-        text = Path(source).read_text(encoding="utf-8")
+        text = read_text_file(source)
     descriptions: list[PartDescription] = []
     # A byte order mark still marks a JSON array: json refuses it, naming the file.
     if text.removeprefix("\ufeff").lstrip().startswith("["):
@@ -238,28 +238,18 @@ def _read_descriptions(source: str, stdin: TextIO) -> list[PartDescription]:
                 raise ValueError(f"input item {position}: category must be a string or null")
             if description_id in seen:
                 raise ValueError(f"input item {position} repeats description id {description_id!r}")
-            _check_encodable(item_text, f"input item {position}")
+            check_utf8(item_text, f"input item {position}: text")
             seen.add(description_id)
             descriptions.append(PartDescription(description_id, item_text, category or None))
     else:
         # As utf-8-sig would, drop a byte order mark; str.strip() keeps it.
         stripped = (line.strip() for line in text.removeprefix("\ufeff").splitlines())
         for position, line in enumerate((line for line in stripped if line), start=1):
-            _check_encodable(line, f"input line {position}")
+            check_utf8(line, f"input line {position}: text")
             descriptions.append(PartDescription(f"line-{position}", line))
     if not descriptions:
         raise ValueError("input contains no descriptions")
     return descriptions
-
-
-def _check_encodable(text: str, where: str) -> None:
-    """Refuse a description text UTF-8 cannot encode: one holding a lone
-    surrogate, which a JSON "\\ud800" escape or a stdin read with
-    surrogateescape yields. Prompts, and so fixture keys, are UTF-8."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise ValueError(f"{where}: text cannot be encoded as UTF-8: {exc}") from None
 
 
 def _cmd_eval(

@@ -44,7 +44,9 @@ __all__ = [
     "render_nested_value",
     "validate_spec_document",
     "decode_json",
+    "read_text_file",
     "read_json_file",
+    "check_utf8",
 ]
 
 # Field kinds a schema may declare.
@@ -79,9 +81,28 @@ def decode_json(
         raise error(f"{source}: invalid JSON: {exc}") from None
 
 
+def read_text_file(path: str | Path, error: Callable[[str], Exception] = ValueError) -> str:
+    """The text of the UTF-8 file at `path`; other bytes raise `error`, naming `path`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
+
+
 def read_json_file(path: str | Path, error: Callable[[str], Exception] = ValueError) -> Any:
-    """Decode the UTF-8 JSON file at `path`; errors as in `decode_json`."""
-    return decode_json(Path(path).read_text(encoding="utf-8"), path, error)
+    """Decode the UTF-8 JSON file at `path`; errors as in `read_text_file` and `decode_json`."""
+    return decode_json(read_text_file(path, error), path, error)
+
+
+def check_utf8(text: str, what: str) -> None:
+    """Refuse text UTF-8 cannot encode: text holding a lone surrogate, which a
+    JSON "\\ud800" escape or a read with surrogateescape yields. Prompts, fixture
+    keys and embeddings are made from UTF-8 bytes. The ValueError's message
+    begins with `what`."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{what} cannot be encoded as UTF-8: {exc}") from None
 
 
 def canonicalize_value(raw: str) -> str:
@@ -199,6 +220,19 @@ class SpecSchema:
         )
 
 
+_JSON_TYPE_NOUNS = {str: "a string", float: "a number", bool: "a boolean"}
+
+
+def _checked(key: str, value: Any, kind: type) -> Any:
+    """`value`, read from JSON under `key`, refused with a TypeError unless it
+    is a `kind`; a float `kind` takes any number. Nothing is converted: bool()
+    would read "false" as true and str() would read null as "None"."""
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise TypeError(f"{key} must be {_JSON_TYPE_NOUNS[kind]}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class FieldClaim:
     """One model's assertion about one field in one phase."""
@@ -247,15 +281,16 @@ class FieldClaim:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> FieldClaim:
-        value = str(data["value"])
+        value = _checked("value", data["value"], str)
+        canonical_value = data.get("canonical_value", canonicalize_value(value))
         return cls(
-            field=str(data["field"]),
+            field=_checked("field", data["field"], str),
             value=value,
-            canonical_value=str(data.get("canonical_value", canonicalize_value(value))),
-            confidence=float(data.get("confidence", 1.0)),
-            source_model=str(data.get("source_model", "")),
-            phase=str(data.get("phase", PHASE_EXTRACTION)),
-            in_schema=bool(data.get("in_schema", True)),
+            canonical_value=_checked("canonical_value", canonical_value, str),
+            confidence=float(_checked("confidence", data.get("confidence", 1.0), float)),
+            source_model=_checked("source_model", data.get("source_model", ""), str),
+            phase=_checked("phase", data.get("phase", PHASE_EXTRACTION), str),
+            in_schema=_checked("in_schema", data.get("in_schema", True), bool),
         )
 
 
@@ -361,11 +396,11 @@ class ExtractionResult:
     def from_dict(cls, data: Mapping[str, Any]) -> ExtractionResult:
         failure = data.get("failure")
         return cls(
-            model_id=str(data["model_id"]),
-            phase=str(data.get("phase", PHASE_EXTRACTION)),
+            model_id=_checked("model_id", data["model_id"], str),
+            phase=_checked("phase", data.get("phase", PHASE_EXTRACTION), str),
             claims=tuple(FieldClaim.from_dict(claim) for claim in data.get("claims", ())),
-            schema_valid=bool(data.get("schema_valid", False)),
-            raw_output=str(data.get("raw_output", "")),
+            schema_valid=_checked("schema_valid", data.get("schema_valid", False), bool),
+            raw_output=_checked("raw_output", data.get("raw_output", ""), str),
             failure=Failure(**failure) if failure else None,
             issues=tuple(ValidationIssue(**issue) for issue in data.get("issues", ())),
         )

@@ -442,13 +442,10 @@ def extract_first_json_object(text: str) -> Any | None:
     start = text.find("{")
     while start != -1:
         try:
-            value, _end = _DECODER.raw_decode(text, start)
+            # Decoding from a "{" yields a dict or nothing.
+            return _DECODER.raw_decode(text, start)[0]
         except json.JSONDecodeError:
             start = text.find("{", start + 1)
-            continue
-        if isinstance(value, dict):
-            return value
-        start = text.find("{", start + 1)
     return None
 
 

@@ -117,7 +117,12 @@ class EnsembleConfig:
             )
         if not 0.0 <= self.gap_confidence_floor <= 1.0:
             raise ConfigError("gap_confidence_floor must be within [0, 1]")
-        weights = tuple(float(w) for w in self.confidence_weights)
+        # Anything but a number reads as NaN and is refused: float() would read
+        # true as 1 and "0.4" as 0.4.
+        weights = tuple(
+            float(w) if isinstance(w, (int, float)) and not isinstance(w, bool) else math.nan
+            for w in self.confidence_weights
+        )
         if len(weights) != 3 or not all(math.isfinite(w) and w >= 0 for w in weights):
             raise ConfigError("confidence_weights must be three non-negative finite numbers")
         if abs(sum(weights) - 1.0) > 1e-9:

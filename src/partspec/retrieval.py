@@ -19,7 +19,7 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from .core import read_json_file, render_leaf_value
+from .core import check_utf8, read_json_file, read_text_file, render_leaf_value
 
 logger = logging.getLogger(__name__)
 
@@ -47,12 +47,7 @@ MANIFEST_FILENAME = "manifest.json"
 
 
 class FormatError(ValueError):
-    """Malformed knowledge-base input; carries the offending location."""
-
-    def __init__(self, location: str, reason: str) -> None:
-        super().__init__(f"{location}: {reason}")
-        self.location = location
-        self.reason = reason
+    """Malformed knowledge-base input; the message names the file."""
 
 
 @dataclass(frozen=True)
@@ -133,9 +128,9 @@ def ingest_records(path: str | Path, format: str | None = None) -> list[PartReco
         elif suffix == ".json":
             format = "json"
         else:
-            raise FormatError(str(path), f"cannot infer format from suffix {suffix!r}")
+            raise FormatError(f"{path}: cannot infer format from suffix {suffix!r}")
     if format not in ("csv", "json"):
-        raise FormatError(str(path), f"unsupported format {format!r}")
+        raise FormatError(f"{path}: unsupported format {format!r}")
 
     if format == "csv":
         rows = _read_csv_rows(path)
@@ -148,18 +143,14 @@ def ingest_records(path: str | Path, format: str | None = None) -> list[PartReco
         location = f"{path.name}:{ordinal}"
         flat_text = flatten_record(raw_fields)
         try:
-            # A JSON "\ud800" escape decodes to a lone surrogate, which the
-            # embedder cannot encode.
-            flat_text.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            logger.warning(
-                "%s", FormatError(location, f"record cannot be encoded as UTF-8: {exc}; skipped")
-            )
+            check_utf8(flat_text, f"{location}: record")
+        except ValueError as exc:
+            logger.warning("%s; skipped", exc)
             continue
         explicit = raw_fields.get("id")
         record_id = str(explicit) if explicit not in (None, "") else location
         if record_id in seen_ids:
-            logger.warning("%s", FormatError(location, f"duplicate record id {record_id!r}; skipped"))
+            logger.warning("%s: duplicate record id %r; skipped", location, record_id)
             continue
         seen_ids.add(record_id)
         records.append(
@@ -181,39 +172,38 @@ def _read_csv_rows(path: Path) -> list[tuple[int, dict[str, Any]]]:
         try:
             header = next(reader, None)
             if header is None:
-                raise FormatError(str(path), "CSV file has no header row")
+                raise FormatError(f"{path}: CSV file has no header row")
             rows: list[tuple[int, dict[str, Any]]] = []
             for ordinal, row in enumerate(reader):
                 if len(row) != len(header):
                     logger.warning(
-                        "%s",
-                        FormatError(
-                            f"{path.name}:{ordinal}",
-                            f"expected {len(header)} columns, found {len(row)}; row skipped",
-                        ),
+                        "%s:%d: expected %d columns, found %d; row skipped",
+                        path.name,
+                        ordinal,
+                        len(header),
+                        len(row),
                     )
                     continue
                 rows.append((ordinal, dict(zip(header, row))))
         except csv.Error as exc:
-            raise FormatError(str(path), f"line {reader.line_num}: {exc}") from None
+            raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            # The streaming decoder counts byte positions from its last chunk;
+            # read_text_file decodes the whole file, so its message has the
+            # file's name and the byte's offset in it.
+            read_text_file(path, FormatError)
+            raise
     return rows
 
 
 def _read_json_rows(path: Path) -> list[tuple[int, dict[str, Any]]]:
-    try:
-        data = read_json_file(path)
-    except ValueError as exc:
-        # FormatError puts the location in front of the reason itself.
-        raise FormatError(str(path), str(exc).removeprefix(f"{path}: ")) from None
+    data = read_json_file(path, FormatError)
     if not isinstance(data, list):
-        raise FormatError(str(path), "top-level JSON value must be an array of objects")
+        raise FormatError(f"{path}: top-level JSON value must be an array of objects")
     rows: list[tuple[int, dict[str, Any]]] = []
     for ordinal, element in enumerate(data):
         if not isinstance(element, Mapping):
-            logger.warning(
-                "%s",
-                FormatError(f"{path.name}:{ordinal}", "element is not an object; skipped"),
-            )
+            logger.warning("%s:%d: element is not an object; skipped", path.name, ordinal)
             continue
         rows.append((ordinal, dict(element)))
     return rows
@@ -441,15 +431,7 @@ class FlatIndex:
                     f"{directory}: manifest record {position} needs a string record_id "
                     "and flat_text"
                 )
-            try:
-                # A JSON "\ud800" escape decodes to a lone surrogate, which no
-                # prompt holding this record could be encoded with.
-                entry["flat_text"].encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise ValueError(
-                    f"{directory}: manifest record {position} flat_text cannot be encoded "
-                    f"as UTF-8: {exc}"
-                ) from None
+            check_utf8(entry["flat_text"], f"{directory}: manifest record {position} flat_text")
         embedder = _embedder_from_spec(manifest.get("embedder"), dim, directory)
         if embedder.dimension != dim:
             raise ValueError(

@@ -361,6 +361,11 @@ _EVAL_DEFECTS = {
     "output_not_object": "run.json: description 0",
     "description_id_not_string": "run.json: description 0",
     "overflowing_confidence": "run.json: description 0: unreadable output",
+    "string_schema_valid": "run.json: description 0: unreadable output (TypeError: schema_valid",
+    "null_phase": "run.json: description 0: unreadable output (TypeError: phase",
+    "string_in_schema": "run.json: description 0: unreadable output (TypeError: in_schema",
+    "number_claim_field": "run.json: description 0: unreadable output (TypeError: field",
+    "string_confidence": "run.json: description 0: unreadable output (TypeError: confidence",
 }
 
 # The defects above that set one key of the first description's manifest entry.
@@ -375,6 +380,15 @@ _MANIFEST_ENTRY_VALUES = {
     "string_allowed_attributes": ("allowed_attributes", "part_name"),
     "object_expected_fields": ("expected_fields", {"part_name": 1}),
     "object_allowed_attributes": ("allowed_attributes", {"part_name": 1}),
+}
+
+# The defects above that set one key of the first output, or of its first claim.
+_OUTPUT_VALUES = {
+    "string_schema_valid": ((), "schema_valid", "false"),
+    "null_phase": ((), "phase", None),
+    "string_in_schema": (("claims", 0), "in_schema", "no"),
+    "number_claim_field": (("claims", 0), "field", 5),
+    "string_confidence": (("claims", 0), "confidence", "0.5"),
 }
 
 
@@ -649,6 +663,9 @@ class TestEval:
         if defect in _MANIFEST_ENTRY_VALUES:
             key, value = _MANIFEST_ENTRY_VALUES[defect]
             manifest[first["description_id"]][key] = value
+        elif defect in _OUTPUT_VALUES:
+            path, key, value = _OUTPUT_VALUES[defect]
+            reduce(getitem, path, first["outputs"][0])[key] = value
         elif defect == "description_not_object":
             run["descriptions"][0] = first["description_id"]
         elif defect == "missing_description_id":
@@ -775,20 +792,27 @@ def _json_paths(node, path=()):
         yield from _json_paths(child, (*path, key))
 
 
-# Text no JSON loader can decode: cut off, and nested past the recursion limit.
-_UNDECODABLE = {"truncated": '[{"id": ', "too_deep": "[" * 200_000}
+# Text no JSON loader can decode: cut off, and nested past the recursion limit;
+# and bytes no input file may hold, since they are not UTF-8.
+_UNDECODABLE = {
+    "truncated": b'[{"id": ',
+    "too_deep": b"[" * 200_000,
+    "not_utf8": b"M8 hex bolt, \xff steel\n",
+}
+_JSON_SOURCES = ["config", "descriptions", "index_manifest", "kb", "manifest", "run_file", "schema"]
 
 
 class TestJsonInputs:
-    """Every JSON file the CLI reads fails the same way: exit 2, file named."""
+    """Every input file the CLI reads fails the same way: exit 2, file named."""
 
-    @pytest.mark.parametrize("text_id", sorted(_UNDECODABLE))
     @pytest.mark.parametrize(
-        "source",
-        ["config", "descriptions", "index_manifest", "kb", "manifest", "run_file", "schema"],
+        "source, text_id",
+        [(source, text_id) for source in _JSON_SOURCES for text_id in sorted(_UNDECODABLE)]
+        + [("kb_csv", "not_utf8"), ("descriptions_text", "not_utf8")],
     )
     def test_undecodable_file_is_usage_error(self, corpus, tmp_path, source, text_id):
-        bad = tmp_path / f"{source}.json"
+        names = {"kb_csv": "kb.csv", "descriptions_text": "descriptions.txt"}
+        bad = tmp_path / names.get(source, f"{source}.json")
         runs = tmp_path / "runs"
         runs.mkdir()
         if source == "index_manifest":
@@ -796,24 +820,29 @@ class TestJsonInputs:
             bad = tmp_path / "index" / "manifest.json"
         elif source == "run_file":
             bad = runs / "run.json"
-        bad.write_text(_UNDECODABLE[text_id], encoding="utf-8")
+        bad.write_bytes(_UNDECODABLE[text_id])
         flag = {
             "config": "--config",
             "descriptions": "--input",
+            "descriptions_text": "--input",
             "index_manifest": "--index",
             "schema": "--schema",
         }.get(source)
         if flag:
             # The last of a repeated option wins.
             args = [*_extract_args(corpus), flag, str(bad.parent if flag == "--index" else bad)]
-        elif source == "kb":
+        elif source in ("kb", "kb_csv"):
             args = ["index", "build", "--kb", str(bad), "--out", str(tmp_path / "built")]
         else:
             manifest = bad if source == "manifest" else corpus.manifest_path
             args = ["eval", "--runs", str(runs), "--manifest", str(manifest)]
         outcome = run_command(args)
         assert outcome.exit_code == EXIT_USAGE
-        assert outcome.stderr.startswith(f"error: {bad}: invalid JSON")
+        if text_id == "not_utf8":
+            reason = "'utf-8' codec can't decode byte 0xff in position 13"
+        else:
+            reason = "invalid JSON"
+        assert outcome.stderr.startswith(f"error: {bad}: {reason}")
         assert outcome.stdout == ""
 
 

@@ -286,6 +286,8 @@ class TestEnsembleConfig:
             (None, "k", True),
             (0, "max_retries", 1.7),
             (None, "threshold", False),
+            (None, "confidence_weights", [True, False, False]),
+            (None, "confidence_weights", ["0.4", 0.4, 0.2]),
         ],
         ids=[
             "fixtures_dir_not_string",
@@ -302,6 +304,8 @@ class TestEnsembleConfig:
             "boolean_k",
             "fractional_max_retries",
             "boolean_threshold",
+            "boolean_confidence_weights",
+            "string_confidence_weight",
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, entry, key, value):

@@ -8,10 +8,11 @@ import logging
 import random
 import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partspec.core import render_leaf_value
@@ -105,6 +106,16 @@ class TestIngestRecords:
         with pytest.raises(FormatError, match=rf"{re.escape(str(kb))}: line 3: field larger"):
             ingest_records(kb)
 
+    def test_csv_not_utf8_rejected_with_file_offset(self, tmp_path):
+        """The byte's offset counts from the start of the file, not from the
+        chunk a streaming read was decoding."""
+        kb = tmp_path / "kb.csv"
+        body = b"id,name\n" + b"B1,bolt\n" * 5000
+        kb.write_bytes(body + b"B2,\xff\n")
+        message = f"{kb}: 'utf-8' codec can't decode byte 0xff in position {len(body) + 3}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            ingest_records(kb)
+
     def test_missing_id_gets_ordinal(self, tmp_path):
         kb = tmp_path / "kb.csv"
         kb.write_text("name\nbolt\nnut\n", encoding="utf-8")
@@ -190,6 +201,30 @@ class TestHashTrigramEmbedder:
     def test_different_texts_differ(self):
         embedder = HashTrigramEmbedder()
         assert not np.array_equal(embedder.embed("hex bolt"), embedder.embed("ball bearing"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=st.text(st.characters(exclude_categories=("Cs",))),
+        dimension=st.sampled_from([1, 7, 48, 384]),
+    )
+    @example(text="", dimension=7)
+    @example(text="é", dimension=48)
+    @example(text="ß", dimension=384)
+    @example(text="M8 × 40", dimension=384)
+    @example(text="東京", dimension=7)
+    def test_matches_trigram_definition(self, text, dimension):
+        """Any text, ASCII or not, embeds as the documented definition does:
+        crc32 of each 3-character window of the '#'-padded text as UTF-8,
+        modulo the dimension, counted and L2-normalized."""
+        if text:
+            padded = f"##{text}##"
+            windows = (padded[i : i + 3].encode("utf-8") for i in range(len(padded) - 2))
+            counts = np.bincount([zlib.crc32(w) % dimension for w in windows], minlength=dimension)
+            expected = counts / np.linalg.norm(counts)
+        else:
+            expected = np.eye(dimension)[0]
+        actual = HashTrigramEmbedder(dimension).embed(text)
+        assert np.array_equal(actual, expected.astype(np.float32))
 
 
 class _FixedEmbedder:
