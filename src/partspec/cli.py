@@ -13,21 +13,24 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import logging
+import marshal
 import os
 import sys
-from collections.abc import Mapping, Sequence
+import threading
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any, BinaryIO, NoReturn, TextIO
 
 from .core import PartDescription, SpecSchema, check_utf8, decode_json, read_text_file
 from .gateway import invoke
 from .metrics import GroundTruthManifest, evaluate_run, load_runs_dir
-from .orchestrator import EnsembleConfig, batch_executors, run_pipeline
+from .orchestrator import EnsembleConfig, PipelineResult, batch_executors, run_pipeline
 from .retrieval import DEFAULT_DIMENSION, FlatIndex, HashTrigramEmbedder, ingest_records
 
 EXIT_OK = 0
@@ -176,38 +179,207 @@ def _cmd_extract(
     # Credentials are read from `env` here and nowhere else in the pipeline.
     invoke_fn = partial(invoke, env=env)
     run_one = partial(run_pipeline, config=config, index=index, schema=schema, invoke_fn=invoke_fn)
-    # map keeps the input order.
     with batch_executors(config, invoke_fn) as (batch, calls):
-        results = list(batch.map(partial(run_one, executor=calls), descriptions))
-
-    documents: list[dict[str, Any]] = []
-    for result in results:
-        if result.final is not None:
-            documents.append(result.final.to_dict())
+        render = partial(_render_one, partial(run_one, executor=calls), bool(args.runs_out))
+        # One executor serves both exactly when every call runs on the calling
+        # thread: the batch is then pure CPU, so it splits across processes.
+        # Either way, results keep the input order.
+        if batch is calls:
+            rendered = _map_in_shares(render, descriptions)
         else:
-            assert result.quorum_failure is not None
-            documents.append(
-                {
-                    "description_id": result.description_id,
-                    "error": {"kind": "quorum_not_met", **result.quorum_failure.to_dict()},
-                }
-            )
-    rendered = json.dumps(documents, indent=2, sort_keys=True) + "\n"
+            rendered = list(batch.map(render, descriptions))
+    documents, entries, reached = zip(*rendered)
+
+    text = _join_documents(documents)
     if args.out:
-        _write_file(args.out, rendered)
+        _write_file(args.out, text)
         err.write(f"wrote {len(documents)} documents to {args.out}\n")
     else:
-        out.write(rendered)
+        out.write(text)
 
     if args.runs_out:
-        run_doc = {"system_id": args.system_id, "descriptions": [r.to_dict() for r in results]}
-        _write_file(args.runs_out, json.dumps(run_doc, sort_keys=True) + "\n")
+        _write_file(args.runs_out, _join_run_file(args.system_id, entries))
         err.write(f"wrote run file to {args.runs_out}\n")
 
-    failed = sum(1 for result in results if result.final is None)
+    failed = reached.count(False)
     if failed:
-        err.write(f"{failed} of {len(results)} descriptions did not reach quorum\n")
-    return EXIT_RUNTIME if failed == len(results) else EXIT_OK
+        err.write(f"{failed} of {len(reached)} descriptions did not reach quorum\n")
+    return EXIT_RUNTIME if failed == len(reached) else EXIT_OK
+
+
+def _render_one(
+    run_one: Callable[[PartDescription], PipelineResult],
+    with_entry: bool,
+    description: PartDescription,
+) -> tuple[str, str, bool]:
+    """Run one description and encode it: its stdout document as an element
+    of `_join_documents`, its run-file entry (empty unless `with_entry`) and
+    whether it reached quorum."""
+    result = run_one(description)
+    if result.final is not None:
+        document = result.final.to_dict()
+    else:
+        assert result.quorum_failure is not None
+        document = {
+            "description_id": result.description_id,
+            "error": {"kind": "quorum_not_met", **result.quorum_failure.to_dict()},
+        }
+    return _indented(document), result.to_json() if with_entry else "", result.final is not None
+
+
+def _indented(document: Any) -> str:
+    """`document` as `json.dumps(..., indent=2, sort_keys=True)` encodes it
+    one level into a list."""
+    return json.dumps(document, indent=2, sort_keys=True).replace("\n", "\n  ")
+
+
+def _join_documents(documents: Sequence[str]) -> str:
+    """The stdout text: `json.dumps(docs, indent=2, sort_keys=True)` and a
+    newline, given a non-empty list of documents `_indented` encoded."""
+    return "[\n  " + ",\n  ".join(documents) + "\n]\n"
+
+
+def _join_run_file(system_id: str, entries: Sequence[str]) -> str:
+    """The run file: `json.dumps({"system_id": ..., "descriptions": ...},
+    sort_keys=True)` and a newline, given entries `PipelineResult.to_json`
+    encoded."""
+    system = json.dumps(system_id)
+    return '{"descriptions": [' + ", ".join(entries) + '], "system_id": ' + system + "}\n"
+
+
+# Fewest descriptions worth a process of their own. Below this, forking and
+# the copy-on-write faults it brings on cost more than the share saves.
+_MIN_SHARE = 24
+
+
+def _share_count(items: int) -> int:
+    """Processes for a pure-CPU batch of `items`: one per usable CPU, each
+    with at least `_MIN_SHARE` items. Only this one where the platform
+    cannot fork, or while other threads run: a child holds a copy of the
+    calling thread alone, so a lock another thread held stays held there."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), items // _MIN_SHARE))
+
+
+def _map_in_shares(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
+    """`[fn(item) for item in items]`, cut into `_share_count` contiguous
+    shares.
+
+    This process runs the first share. Each other share runs in a forked
+    child, which sends back only its results, which must be plain values
+    `marshal` can encode, and the log records it emitted. The parent
+    re-emits those records share by share, so the log reads as if this
+    process had run the whole batch in order. A share that raises fails the
+    batch with its own message; every child is reaped on every path.
+    """
+    shares = _share_count(len(items))
+    if shares == 1:
+        return [fn(item) for item in items]
+    cuts = [len(items) * share // shares for share in range(shares + 1)]
+    children: list[tuple[int, BinaryIO]] = []  # (pid, read end), in share order
+    try:
+        # Frozen objects are left alone by the children's collector, so their
+        # pages stay shared instead of being copied on the first collection.
+        gc.freeze()
+        try:
+            for share in range(1, shares):
+                read_end, write_end = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read_end)
+                    os.close(write_end)
+                    raise
+                if pid == 0:
+                    _run_child_share(fn, items[cuts[share] : cuts[share + 1]], write_end)
+                os.close(write_end)
+                children.append((pid, open(read_end, "rb")))
+        finally:
+            gc.unfreeze()
+        results = [fn(item) for item in items[: cuts[1]]]
+        for share in range(1, shares):
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            results.extend(_share_results(payload, status, cuts[share], cuts[share + 1]))
+        return results
+    finally:
+        if children:
+            import signal  # only a failed batch has children left to stop
+
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _run_child_share(fn: Callable[[Any], Any], items: Sequence[Any], write_end: int) -> NoReturn:
+    """In a forked child: map `fn` over `items`, send the outcome to the
+    parent through `write_end` and leave without running any exit handler."""
+    code = 1
+    try:
+        records = _RecordList()
+        # Every record the package emits, whichever handlers the parent has:
+        # the parent passes each one on as if it had been emitted there.
+        package_logger = logging.getLogger(__package__)
+        package_logger.handlers = [records]
+        package_logger.propagate = False
+        try:
+            payload = ([fn(item) for item in items], records.records, None)
+        except BaseException as exc:  # noqa: BLE001 - the parent reports it
+            error = (str(exc), isinstance(exc, _USAGE_ERRORS))
+            payload = (None, records.records, error)
+        with open(write_end, "wb") as pipe:
+            pipe.write(marshal.dumps(payload))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+class _RecordList(logging.Handler):
+    """Keeps each record as the plain values `logging.makeLogRecord` needs
+    to rebuild it, its arguments merged into the message and its
+    traceback formatted."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.records: list[dict[str, Any]] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        trace = logging.Formatter().formatException(record.exc_info) if record.exc_info else None
+        self.records.append(
+            {
+                "name": record.name,
+                "levelno": record.levelno,
+                "levelname": record.levelname,
+                "msg": record.getMessage(),
+                "exc_text": trace,
+            }
+        )
+
+
+def _share_results(payload: bytes, status: int, first: int, end: int) -> list[Any]:
+    """A child's results, after re-emitting its log records; raises what
+    the child raised, or reports a child that ended without a result."""
+    try:
+        results, records, error = marshal.loads(payload)
+    except (EOFError, ValueError, TypeError):
+        code = os.waitstatus_to_exitcode(status)
+        how = f"signal {-code}" if code < 0 else f"exit status {code}"
+        raise RuntimeError(
+            f"the process running descriptions {first + 1}-{end} ended without a result ({how})"
+        ) from None
+    for record in records:
+        logging.getLogger(record["name"]).handle(logging.makeLogRecord(record))
+    if error is not None:
+        message, usage = error
+        raise (ValueError if usage else RuntimeError)(message)
+    return results
 
 
 def _write_file(path: str, text: str) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 import time
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from concurrent.futures import Executor, ThreadPoolExecutor
@@ -47,6 +48,8 @@ from .synthesis import (
 )
 
 logger = logging.getLogger(__name__)
+
+_FLOAT_MAX = sys.float_info.max
 
 __all__ = [
     "BATCH_WIDTH",
@@ -117,10 +120,12 @@ class EnsembleConfig:
             )
         if not 0.0 <= self.gap_confidence_floor <= 1.0:
             raise ConfigError("gap_confidence_floor must be within [0, 1]")
-        # Anything but a number reads as NaN and is refused: float() would read
-        # true as 1 and "0.4" as 0.4.
+        # Anything but a number a float can hold reads as NaN and is refused:
+        # float() would read true as 1 and "0.4" as 0.4, and raise on 10**400.
         weights = tuple(
-            float(w) if isinstance(w, (int, float)) and not isinstance(w, bool) else math.nan
+            float(w)
+            if isinstance(w, (int, float)) and not isinstance(w, bool) and abs(w) <= _FLOAT_MAX
+            else math.nan
             for w in self.confidence_weights
         )
         if len(weights) != 3 or not all(math.isfinite(w) and w >= 0 for w in weights):

@@ -296,7 +296,7 @@ def synthesize_spec(
     }
 
     resolved, pass_note = _consistency_pass(
-        resolved, grounding, config, schema, invoke_fn=invoke_fn
+        resolved, grounding, config, schema, description_id, invoke_fn=invoke_fn
     )
 
     total = len(resolved)
@@ -324,6 +324,7 @@ def _consistency_pass(
     context: RetrievedContext,
     config: "EnsembleConfig",
     schema: SpecSchema,
+    description_id: str,
     *,
     invoke_fn: Callable[..., Any] | None,
 ) -> tuple[dict[str, ResolvedField], str]:
@@ -343,7 +344,9 @@ def _consistency_pass(
     )
     if not checked.schema_valid:
         reason = checked.failure.kind if checked.failure else "invalid_output"
-        logger.warning("consistency pass fell back (%s); keeping draft", reason)
+        logger.warning(
+            "consistency pass for %s fell back (%s); keeping draft", description_id, reason
+        )
         return resolved, f"fallback: {reason}"
 
     weights = config.confidence_weights

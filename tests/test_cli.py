@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import pytest
 from conftest import JSON_VALUES, ScriptedHandler, finishes_within
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from partspec import cli, gateway, orchestrator, retrieval, synthesis
@@ -497,19 +499,54 @@ class TestConcurrentBatch:
         assert peaks[0] > 3 >= peaks[1]
 
 
+@pytest.fixture()
+def shares(monkeypatch):
+    """`shares(n)` makes n CPUs usable and any batch worth splitting, even
+    while threads an earlier test left are still ending; the fixture's
+    `forks` records the pid of every child `extract` forks."""
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            use.forks.append(pid)
+        return pid
+
+    def use(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        use.forks.clear()
+
+    use.forks = []
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(cli, "_MIN_SHARE", 1)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    return use
+
+
 class TestReplayBatch:
-    def test_every_call_runs_on_the_calling_thread(self, corpus, monkeypatch):
-        threads = []
+    def test_every_call_runs_on_the_calling_thread(self, corpus, monkeypatch, tmp_path, shares):
+        # Every process appends its calls to one file, so a forked share's
+        # calls are counted too.
+        log_path = tmp_path / "calls.log"
         complete = gateway.ReplayBackend.complete
 
         def recording(backend, request):
-            threads.append(threading.get_ident())
+            with open(log_path, "a", encoding="utf-8") as log:
+                log.write(f"{os.getpid()} {threading.get_ident()}\n")
             return complete(backend, request)
 
         monkeypatch.setattr(gateway.ReplayBackend, "complete", recording)
-        assert run_command(_extract_args(corpus)).exit_code == EXIT_OK
-        assert len(threads) > len(corpus.cases)
-        assert set(threads) == {threading.get_ident()}
+        calls = []
+        for cpus in (1, 2):
+            shares(cpus)
+            log_path.write_text("", encoding="utf-8")
+            assert run_command(_extract_args(corpus)).exit_code == EXIT_OK
+            lines = [line.split() for line in log_path.read_text(encoding="utf-8").splitlines()]
+            assert len({pid for pid, _ in lines}) == cpus == len(shares.forks) + 1
+            # A forked child's one thread is a copy of the thread that forked it.
+            assert {int(thread) for _, thread in lines} == {threading.get_ident()}
+            calls.append(len(lines))
+        assert calls[0] == calls[1] > len(corpus.cases)
 
     def test_same_bytes_as_a_shared_call_pool(self, corpus, tmp_path):
         run_path = tmp_path / "run.json"
@@ -558,6 +595,177 @@ class TestReplayBatch:
         assert outcome.exit_code == EXIT_OK
         assert all("fields" in d for d in json.loads(outcome.stdout))
         assert elapsed < len(texts) * 2 * _CALL_DELAY_S / 2
+
+
+def _broken_calls(corpus, monkeypatch):
+    """Fail calls so that, in corpus order, d016's consistency review falls
+    back, d021 misses quorum and echo's calls on d023 raise from `invoke`,
+    which logs a traceback. All three sit past the first third of the batch."""
+    complete = gateway.ReplayBackend.complete
+    record = gateway.ProviderResponse
+    review_of, missing, raising = (corpus.cases[n] for n in (15, 20, 22))
+
+    def failing(backend, request):
+        text = request.user_text
+        if text.startswith("DRAFT SPECIFICATION:") and review_of.part_number in text:
+            raise gateway.BackendError("transport", "review line down")
+        if missing.text in text and backend.config.model_id in ("alpha", "bravo", "charlie"):
+            raise gateway.BackendError("transport", "extraction line down")
+        return complete(backend, request)
+
+    def breaking(model_id, text, *rest):
+        if model_id == "echo" and raising.part_number in text:
+            raise RuntimeError("echo's record broke")
+        return record(model_id, text, *rest)
+
+    monkeypatch.setattr(gateway.ReplayBackend, "complete", failing)
+    monkeypatch.setattr(gateway, "ProviderResponse", breaking)
+
+
+class TestShares:
+    """An all-replay batch splits into one forked share per usable CPU and
+    reads the same as one process: stdout, run file, stderr and exit code."""
+
+    def _outputs(self, corpus, tmp_path, config=None):
+        run_path = tmp_path / "run.json"
+        args = _extract_args(corpus, "--runs-out", str(run_path))
+        if config is not None:
+            args[args.index("--config") + 1] = str(config)
+        outcome = run_command(args)
+        return outcome, run_path.read_bytes() if run_path.exists() else None
+
+    def test_shares_change_no_byte(self, corpus, tmp_path, monkeypatch, shares):
+        _broken_calls(corpus, monkeypatch)
+        outputs = []
+        for cpus in (1, 2, 3):
+            shares(cpus)
+            outputs.append(self._outputs(corpus, tmp_path))
+            assert len(shares.forks) == cpus - 1
+        (outcome, run_file), *others = outputs
+        assert all(other == (outcome, run_file) for other in others)
+        assert outcome.exit_code == EXIT_OK
+        warnings = [line for line in outcome.stderr.splitlines() if line.startswith("WARNING")]
+        assert warnings == [
+            "WARNING partspec.synthesis: consistency pass for d016 fell back (transport); "
+            "keeping draft",
+            "WARNING partspec.orchestrator: quorum not met for d021: 2 of 3 required",
+            "WARNING partspec.gateway: provider echo raised echo's record broke",
+            "WARNING partspec.gateway: provider echo raised echo's record broke",
+        ]
+        # Each "provider raised" warning carries its traceback.
+        assert outcome.stderr.count("Traceback (most recent call last):") == 2
+        assert outcome.stderr.endswith("1 of 24 descriptions did not reach quorum\n")
+
+    def test_batch_missing_quorum_everywhere_still_fails(self, corpus, tmp_path, shares):
+        outputs = []
+        for cpus in (1, 2):
+            shares(cpus)
+            outputs.append(self._outputs(corpus, tmp_path, corpus.empty_config_path))
+        assert outputs[0] == outputs[1]
+        assert outputs[1][0].exit_code == EXIT_RUNTIME
+        assert outputs[1][0].stderr.count("quorum not met") == len(corpus.cases)
+
+    @pytest.mark.parametrize(
+        "broken, error, code",
+        [
+            ({"d013", "d020"}, RuntimeError, EXIT_RUNTIME),
+            ({"d013"}, ValueError, EXIT_USAGE),
+            ({"d002", "d013"}, RuntimeError, EXIT_RUNTIME),
+        ],
+        ids=["child_raises", "child_raises_usage_error", "parent_share_raises"],
+    )
+    def test_a_raising_share_fails_the_batch(
+        self, corpus, tmp_path, monkeypatch, shares, broken, error, code
+    ):
+        def raising(description, **kwargs):
+            if description.id in broken:
+                raise error(f"share broke at {description.id}")
+            return run_pipeline(description, **kwargs)
+
+        monkeypatch.setattr(cli, "run_pipeline", raising)
+        outcomes = []
+        for cpus in (2, 1):
+            shares(cpus)
+            outcome, run_file = self._outputs(corpus, tmp_path)
+            assert (outcome.exit_code, outcome.stdout, run_file) == (code, "", None)
+            # The first broken description in input order is the one reported.
+            assert outcome.stderr == f"error: share broke at {min(broken)}\n"
+            outcomes.append(outcome)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert outcomes[0] == outcomes[1]
+
+    def test_a_killed_share_fails_the_batch(self, corpus, tmp_path, monkeypatch, shares):
+        parent = os.getpid()
+
+        def dying(description, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_pipeline(description, **kwargs)
+
+        monkeypatch.setattr(cli, "run_pipeline", dying)
+        shares(2)
+        outcome, run_file = self._outputs(corpus, tmp_path)
+        assert (outcome.exit_code, outcome.stdout, run_file) == (EXIT_RUNTIME, "", None)
+        assert outcome.stderr == (
+            "error: the process running descriptions 13-24 ended without a result (signal 9)\n"
+        )
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_description_never_forks(self, corpus, tmp_path, shares):
+        descriptions = tmp_path / "one.txt"
+        descriptions.write_text(corpus.cases[0].text + "\n", encoding="utf-8")
+        args = _extract_args(corpus)
+        args[args.index("--input") + 1] = str(descriptions)
+        shares(4)
+        assert run_command(args).exit_code == EXIT_OK
+        assert shares.forks == []
+
+    @pytest.mark.parametrize(
+        "cpus, items, expected",
+        [(1, 1000, 1), (2, 1, 1), (2, 19, 1), (2, 20, 2), (2, 1000, 2), (3, 29, 2), (3, 30, 3)],
+    )
+    def test_share_count(self, monkeypatch, cpus, items, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(cli, "_MIN_SHARE", 10)
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        assert cli._share_count(items) == expected
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_one_process_without_fork_or_affinity(self, monkeypatch, missing):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        monkeypatch.delattr(os, missing)
+        assert cli._share_count(1000) == 1
+
+    def test_one_process_while_another_thread_runs(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert cli._share_count(1000) == 1
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+
+
+@settings(max_examples=200)
+@given(st.lists(JSON_VALUES, min_size=1), st.lists(JSON_VALUES), st.text())
+@example(
+    documents=[{"\u00e9\x00": [], "k": {}}, float("nan"), [math.inf, -math.inf, [[{}]]], "\x1f\U0001f600"],
+    entries=[],
+    system_id="syst\u00e8me\n\x7f",
+)
+def test_joined_rendering_equals_one_dump(documents, entries, system_id):
+    """The joins `extract` builds its output with equal one `json.dumps`."""
+    joined = cli._join_documents([cli._indented(document) for document in documents])
+    assert joined == json.dumps(documents, indent=2, sort_keys=True) + "\n"
+    run_file = cli._join_run_file(system_id, [json.dumps(e, sort_keys=True) for e in entries])
+    expected = {"system_id": system_id, "descriptions": entries}
+    assert run_file == json.dumps(expected, sort_keys=True) + "\n"
 
 
 class TestStartup:
@@ -916,6 +1124,21 @@ class TestConfigCheck:
         outcome = run_command(["config", "check", "--config", str(config_path)])
         assert outcome.exit_code == EXIT_USAGE
         assert "invalid JSON" in outcome.stderr
+
+    def test_overflowing_weight_names_the_key(self, corpus, tmp_path):
+        text = corpus.config_path.read_text(encoding="utf-8")
+        data = json.loads(text)
+        data["confidence_weights"] = [10**400, 0, 0]
+        config_path = corpus.config_path.parent / "overflowing.json"
+        config_path.write_text(json.dumps(data), encoding="utf-8")
+        try:
+            outcome = run_command(["config", "check", "--config", str(config_path)])
+        finally:
+            config_path.unlink()
+        assert (outcome.exit_code, outcome.stdout) == (EXIT_USAGE, "")
+        assert outcome.stderr == (
+            "error: confidence_weights must be three non-negative finite numbers\n"
+        )
 
 
 class TestParser:

@@ -288,6 +288,7 @@ class TestEnsembleConfig:
             (None, "threshold", False),
             (None, "confidence_weights", [True, False, False]),
             (None, "confidence_weights", ["0.4", 0.4, 0.2]),
+            (None, "confidence_weights", [10**400, 0, 0]),
         ],
         ids=[
             "fixtures_dir_not_string",
@@ -306,6 +307,7 @@ class TestEnsembleConfig:
             "boolean_threshold",
             "boolean_confidence_weights",
             "string_confidence_weight",
+            "overflowing_confidence_weight",
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, entry, key, value):

@@ -416,7 +416,7 @@ class TestSynthesizeSpec:
         assert spec == expected
         assert spec.provenance["synthesis_pass"] == "applied: synth"
 
-    def test_consistency_pass_provider_failure_falls_back(self):
+    def test_consistency_pass_provider_failure_falls_back(self, caplog):
         results = [_result(_DOC_A, "alpha"), _result(_DOC_B, "bravo")]
 
         def failing_invoke(provider, request, env=None):
@@ -424,10 +424,15 @@ class TestSynthesizeSpec:
             return ProviderResponse(provider.model_id, "", 0.0, 3, failure)
 
         spec = synthesize_spec(
-            results, EMPTY_CONTEXT, _config(), SpecSchema.default(), invoke_fn=failing_invoke
+            results, EMPTY_CONTEXT, _config(), SpecSchema.default(), "d7",
+            invoke_fn=failing_invoke,
         )
         assert spec.provenance["synthesis_pass"] == "fallback: exhausted_retries"
         assert spec.fields["part_number"].value == "HB-100"
+        # The warning names the description, so a batch's warnings can be told apart.
+        assert [record.getMessage() for record in caplog.records] == [
+            "consistency pass for d7 fell back (exhausted_retries); keeping draft"
+        ]
 
     def test_consistency_pass_invalid_output_falls_back(self):
         results = [_result(_DOC_A, "alpha"), _result(_DOC_B, "bravo")]
