@@ -27,7 +27,15 @@ from functools import partial
 from pathlib import Path
 from typing import Any, BinaryIO, NoReturn, TextIO
 
-from .core import PartDescription, SpecSchema, check_utf8, decode_json, read_text_file
+from .core import (
+    JsonKind,
+    PartDescription,
+    SpecSchema,
+    check_utf8,
+    decode_json,
+    json_value,
+    read_text_file,
+)
 from .gateway import invoke
 from .metrics import GroundTruthManifest, evaluate_run, load_runs_dir
 from .orchestrator import EnsembleConfig, PipelineResult, batch_executors, run_pipeline
@@ -68,7 +76,7 @@ def run_command(
 
     handler = logging.StreamHandler(err)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    package_logger = logging.getLogger(__name__.rsplit(".", 1)[0])
+    package_logger = logging.getLogger(__package__)  # `__name__` is "__main__" under -m
     package_logger.addHandler(handler)
     previous_level = package_logger.level
     package_logger.setLevel(logging.INFO)
@@ -400,17 +408,16 @@ def _read_descriptions(source: str, stdin: TextIO) -> list[PartDescription]:
         data = decode_json(text, "<stdin>" if source == "-" else source)
         seen: set[str] = set()
         for position, item in enumerate(data):
+            where = f"input item {position}"
             item_text = item.get("text") if isinstance(item, Mapping) else None
             if not isinstance(item_text, str) or "id" not in item:
-                raise ValueError(f"input item {position} must be an object with id and text")
-            description_id, category = item["id"], item.get("category")
-            if not isinstance(description_id, str):
-                raise ValueError(f"input item {position}: id must be a string")
-            if not isinstance(category, (str, type(None))):
-                raise ValueError(f"input item {position}: category must be a string or null")
+                raise ValueError(f"{where} must be an object with id and text")
+            read = partial(json_value, item, error=lambda text: ValueError(f"{where}: {text}"))
+            description_id = read("id", JsonKind.STRING)
+            category = read("category", JsonKind.OPTIONAL_STRING, default=None)
             if description_id in seen:
-                raise ValueError(f"input item {position} repeats description id {description_id!r}")
-            check_utf8(item_text, f"input item {position}: text")
+                raise ValueError(f"{where} repeats description id {description_id!r}")
+            check_utf8(item_text, f"{where}: text")
             seen.add(description_id)
             descriptions.append(PartDescription(description_id, item_text, category or None))
     else:

@@ -12,7 +12,8 @@ import re
 import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from enum import Enum
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 from typing import Any
 
@@ -44,6 +45,8 @@ __all__ = [
     "render_nested_value",
     "validate_spec_document",
     "decode_json",
+    "JsonKind",
+    "json_value",
     "read_text_file",
     "read_json_file",
     "check_utf8",
@@ -63,6 +66,7 @@ PHASE_RESEARCH = "research"
 MISSING_FIELD = "missing_field"
 KIND_MISMATCH = "kind_mismatch"
 
+_FLOAT_MAX = sys.float_info.max
 _NAME_SEPARATORS = re.compile(r"[\s\-]")
 _NAME_STRIP = re.compile(r"[^a-z0-9_]")
 
@@ -72,13 +76,57 @@ def decode_json(
 ) -> Any:
     """Decode the JSON document `text` read from `source`.
 
-    Text that is not JSON, or nests too deeply to decode, raises `error`
-    with a message that names `source`.
+    Text that is not JSON, nests too deeply to decode or holds an integer
+    too long to convert, raises `error` with a message that names `source`.
     """
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise error(f"{source}: invalid JSON: {exc}") from None
+
+
+def _is_number(value: Any) -> bool:
+    # bool is an int to isinstance, and an int past the float range fits no float.
+    return isinstance(value, float) or (
+        isinstance(value, int) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX
+    )
+
+
+def _is_strings(value: Any) -> bool:
+    return isinstance(value, (list, tuple)) and all(isinstance(item, str) for item in value)
+
+
+class JsonKind(Enum):
+    """A kind of value `json_value` reads: the words its message uses, and its test."""
+
+    STRING = "a string", lambda value: isinstance(value, str)
+    OPTIONAL_STRING = "a string or null", lambda value: value is None or isinstance(value, str)
+    INTEGER = "an integer", lambda value: isinstance(value, int) and _is_number(value)
+    NUMBER = "a number", _is_number
+    BOOLEAN = "a boolean", lambda value: isinstance(value, bool)
+    STRINGS = "an array of strings", _is_strings
+    FIELD_NAMES = "an array of field names", _is_strings
+    OBJECT = "an object", lambda value: isinstance(value, Mapping)
+
+
+def json_value(
+    data: Any, key: str | int, kind: JsonKind, error: Callable[[str], Exception] = ValueError,
+    default: Any = ...,
+) -> Any:
+    """`data[key]` from a decoded JSON object (or array) if it is of `kind`, a
+    number as a float; a missing key reads as `default`, if given. Else raises
+    `error("<key> is missing")` or `error("<key> must be <kind>, got <repr>")`:
+    nothing is converted, as int() would read 2.9 as 2 and true as 1."""
+    try:
+        value = data[key]
+    except LookupError:
+        if default is ...:
+            raise error(f"{key} is missing") from None
+        return default
+    noun, test = kind.value
+    if not test(value):
+        raise error(f"{key} must be {noun}, got {value!r}")
+    return float(value) if kind is JsonKind.NUMBER else value
 
 
 def read_text_file(path: str | Path, error: Callable[[str], Exception] = ValueError) -> str:
@@ -194,12 +242,8 @@ class SpecSchema:
         unknown = set(data) - {"required_fields", "field_kinds"}
         if unknown:
             raise ValueError(f"unknown schema keys: {sorted(unknown)}")
-        required = data.get("required_fields")
-        if not isinstance(required, (list, tuple)) or not all(isinstance(n, str) for n in required):
-            raise ValueError("required_fields must be an array of field names")
-        kinds = data.get("field_kinds", {})
-        if not isinstance(kinds, Mapping):
-            raise ValueError("field_kinds must be an object")
+        required = json_value(data, "required_fields", JsonKind.FIELD_NAMES)
+        kinds = json_value(data, "field_kinds", JsonKind.OBJECT, default={})
         return cls(tuple(required), dict(kinds))
 
     @classmethod
@@ -218,19 +262,6 @@ class SpecSchema:
                 "specifications": NESTED_MAP,
             },
         )
-
-
-_JSON_TYPE_NOUNS = {str: "a string", float: "a number", bool: "a boolean"}
-
-
-def _checked(key: str, value: Any, kind: type) -> Any:
-    """`value`, read from JSON under `key`, refused with a TypeError unless it
-    is a `kind`; a float `kind` takes any number. Nothing is converted: bool()
-    would read "false" as true and str() would read null as "None"."""
-    accepted = (int, float) if kind is float else kind
-    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
-        raise TypeError(f"{key} must be {_JSON_TYPE_NOUNS[kind]}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,16 +312,17 @@ class FieldClaim:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> FieldClaim:
-        value = _checked("value", data["value"], str)
-        canonical_value = data.get("canonical_value", canonicalize_value(value))
+        read = partial(json_value, data, error=TypeError)
+        value = read("value", JsonKind.STRING)
+        canonical = read("canonical_value", JsonKind.STRING, default=canonicalize_value(value))
         return cls(
-            field=_checked("field", data["field"], str),
+            field=read("field", JsonKind.STRING),
             value=value,
-            canonical_value=_checked("canonical_value", canonical_value, str),
-            confidence=float(_checked("confidence", data.get("confidence", 1.0), float)),
-            source_model=_checked("source_model", data.get("source_model", ""), str),
-            phase=_checked("phase", data.get("phase", PHASE_EXTRACTION), str),
-            in_schema=_checked("in_schema", data.get("in_schema", True), bool),
+            canonical_value=canonical,
+            confidence=read("confidence", JsonKind.NUMBER, default=1.0),
+            source_model=read("source_model", JsonKind.STRING, default=""),
+            phase=read("phase", JsonKind.STRING, default=PHASE_EXTRACTION),
+            in_schema=read("in_schema", JsonKind.BOOLEAN, default=True),
         )
 
 
@@ -394,16 +426,24 @@ class ExtractionResult:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> ExtractionResult:
+        read = partial(json_value, data, error=TypeError)
         failure = data.get("failure")
+        if failure is not None:
+            failure = _string_record(Failure, read("failure", JsonKind.OBJECT))
         return cls(
-            model_id=_checked("model_id", data["model_id"], str),
-            phase=_checked("phase", data.get("phase", PHASE_EXTRACTION), str),
+            model_id=read("model_id", JsonKind.STRING),
+            phase=read("phase", JsonKind.STRING, default=PHASE_EXTRACTION),
             claims=tuple(FieldClaim.from_dict(claim) for claim in data.get("claims", ())),
-            schema_valid=_checked("schema_valid", data.get("schema_valid", False), bool),
-            raw_output=_checked("raw_output", data.get("raw_output", ""), str),
-            failure=Failure(**failure) if failure else None,
-            issues=tuple(ValidationIssue(**issue) for issue in data.get("issues", ())),
+            schema_valid=read("schema_valid", JsonKind.BOOLEAN, default=False),
+            raw_output=read("raw_output", JsonKind.STRING, default=""),
+            failure=failure,
+            issues=tuple(_string_record(ValidationIssue, i) for i in data.get("issues", ())),
         )
+
+
+def _string_record(cls: type, data: Mapping[str, Any]) -> Any:
+    """`cls(**data)` for a run-file record of strings; `cls` refuses a missing or unknown key."""
+    return cls(**{key: json_value(data, key, JsonKind.STRING, TypeError) for key in data})
 
 
 def render_nested_value(mapping: Mapping[str, Any]) -> str:
@@ -486,14 +526,12 @@ def _unwrap(value: Any, path: str) -> tuple[Any, float | None, tuple[ValidationI
     ):
         return value, None, ()
     confidence = value.get("confidence", 1.0)
-    if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
+    if not _is_number(confidence):
         found, clamped = repr(confidence), 1.0
     elif 0.0 <= confidence <= 1.0:
         return value["value"], float(confidence), ()
     else:
-        # An int too large to be a float is reported as written.
-        found = repr(float(confidence) if abs(confidence) <= sys.float_info.max else confidence)
-        clamped = float(min(1.0, max(0.0, confidence)))
+        found, clamped = repr(float(confidence)), float(min(1.0, max(0.0, confidence)))
     issue = ValidationIssue(KIND_MISMATCH, f"{path}.confidence", "number in [0, 1]", found)
     return value["value"], clamped, (issue,)
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any
 
-from .core import PHASE_EXTRACTION, ExtractionResult, read_json_file
+from .core import PHASE_EXTRACTION, ExtractionResult, JsonKind, json_value, read_json_file
 
 __all__ = [
     "MetricError",
@@ -113,15 +114,6 @@ class ManifestEntry:
             raise MetricError(f"detail_max must be positive, got {self.detail_max}")
 
 
-def _field_names(raw: Mapping[str, Any], key: str) -> frozenset[str]:
-    """An array of field names as a set; a string or an object is not read as
-    its letters or its keys."""
-    names = raw.get(key, ())
-    if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
-        raise ValueError(f"{key} must be an array of field names")
-    return frozenset(names)
-
-
 @dataclass(frozen=True)
 class GroundTruthManifest:
     entries: Mapping[str, ManifestEntry]
@@ -137,22 +129,16 @@ class GroundTruthManifest:
         entries: dict[str, ManifestEntry] = {}
         for description_id, raw in data.items():
             where = f"manifest entry {description_id!r}"
-            if not isinstance(raw, Mapping) or not {"expected_fields", "detail_max"} <= set(raw):
-                raise MetricError(f"{where} must be an object with expected_fields and detail_max")
+            if not isinstance(raw, Mapping):
+                raise MetricError(f"{where} must be an object")
             unknown = set(raw) - {"expected_fields", "detail_max", "allowed_attributes"}
             if unknown:
                 raise MetricError(f"{where} has unknown keys: {sorted(unknown)}")
-            try:
-                expected_fields = _field_names(raw, "expected_fields")
-                detail_max = raw["detail_max"]
-                # int() would read 2.9 as 2, true as 1 and "3" as 3.
-                if isinstance(detail_max, bool) or not isinstance(detail_max, int):
-                    raise ValueError(f"detail_max must be an integer, got {detail_max!r}")
-                allowed_attributes = _field_names(raw, "allowed_attributes")
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise MetricError(f"{where}: {exc}") from None
+            read = partial(json_value, raw, error=lambda text: MetricError(f"{where}: {text}"))
             entries[description_id] = ManifestEntry(
-                expected_fields, detail_max, allowed_attributes
+                frozenset(read("expected_fields", JsonKind.FIELD_NAMES)),
+                read("detail_max", JsonKind.INTEGER),
+                frozenset(read("allowed_attributes", JsonKind.FIELD_NAMES, default=())),
             )
         return cls(entries)
 
@@ -225,26 +211,19 @@ def load_system_run(path: str | Path) -> SystemRun:
     descriptions: list[DescriptionRun] = []
     for position, raw in enumerate(raw_descriptions):
         where = f"{path}: description {position}"
-        if not isinstance(raw, Mapping) or not isinstance(raw.get("description_id"), str):
-            raise MetricError(f"{where} must be an object with a string description_id")
+        if not isinstance(raw, Mapping):
+            raise MetricError(f"{where} must be an object")
+        read = partial(json_value, error=lambda text: MetricError(f"{where}: {text}"))
+        description_id = read(raw, "description_id", JsonKind.STRING)
         try:
             outputs = tuple(ExtractionResult.from_dict(o) for o in raw.get("outputs", ()))
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MetricError(f"{where}: unreadable output ({type(exc).__name__}: {exc})") from None
-        final = raw.get("final")
         final_fields: tuple[str, ...] | None = None
-        if final is not None:
-            fields = final.get("fields", final) if isinstance(final, Mapping) else None
-            if not isinstance(fields, Mapping):
-                raise MetricError(f"{where}: final must be a spec object or null")
-            final_fields = tuple(sorted(fields))
-        descriptions.append(
-            DescriptionRun(
-                description_id=raw["description_id"],
-                outputs=outputs,
-                final_fields=final_fields,
-            )
-        )
+        if raw.get("final") is not None:
+            final = read(raw, "final", JsonKind.OBJECT)
+            final_fields = tuple(sorted(read(final, "fields", JsonKind.OBJECT, default=final)))
+        descriptions.append(DescriptionRun(description_id, outputs, final_fields))
     return SystemRun(system_id=data["system_id"], descriptions=tuple(descriptions))
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import sys
 import time
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from concurrent.futures import Executor, ThreadPoolExecutor
@@ -25,8 +24,10 @@ from .core import (
     PHASE_EXTRACTION,
     PHASE_RESEARCH,
     ExtractionResult,
+    JsonKind,
     PartDescription,
     SpecSchema,
+    json_value,
     read_json_file,
 )
 from .gateway import (
@@ -48,8 +49,6 @@ from .synthesis import (
 )
 
 logger = logging.getLogger(__name__)
-
-_FLOAT_MAX = sys.float_info.max
 
 __all__ = [
     "BATCH_WIDTH",
@@ -120,14 +119,11 @@ class EnsembleConfig:
             )
         if not 0.0 <= self.gap_confidence_floor <= 1.0:
             raise ConfigError("gap_confidence_floor must be within [0, 1]")
-        # Anything but a number a float can hold reads as NaN and is refused:
-        # float() would read true as 1 and "0.4" as 0.4, and raise on 10**400.
-        weights = tuple(
-            float(w)
-            if isinstance(w, (int, float)) and not isinstance(w, bool) and abs(w) <= _FLOAT_MAX
-            else math.nan
-            for w in self.confidence_weights
-        )
+        weights = self.confidence_weights
+        try:
+            weights = tuple(json_value(weights, i, JsonKind.NUMBER) for i in range(len(weights)))
+        except (TypeError, ValueError):  # not an array, or an item that is no number
+            weights = ()
         if len(weights) != 3 or not all(math.isfinite(w) and w >= 0 for w in weights):
             raise ConfigError("confidence_weights must be three non-negative finite numbers")
         if abs(sum(weights) - 1.0) > 1e-9:
@@ -169,7 +165,7 @@ class EnsembleConfig:
             for entry in roster:
                 provider = _json_kwargs(ProviderConfig, entry, "provider")
                 fixtures_dir = provider.get("fixtures_dir")
-                if isinstance(fixtures_dir, str) and base_dir is not None:
+                if fixtures_dir is not None and base_dir is not None:
                     # Joining keeps an absolute fixtures_dir as it is.
                     provider["fixtures_dir"] = str(Path(base_dir, fixtures_dir))
                 providers.append(ProviderConfig(**provider))
@@ -177,7 +173,7 @@ class EnsembleConfig:
             return cls(**kwargs)
         except ConfigError:
             raise
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
     @classmethod
@@ -186,13 +182,13 @@ class EnsembleConfig:
         return cls.from_dict(read_json_file(path, ConfigError), base_dir=path.parent)
 
 
-# A JSON value for a field whose default has one of these types must be of one
-# of the listed types, and is converted to the field's type.
-_JSON_CONVERSIONS: dict[type, tuple[tuple[type, ...], str]] = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    tuple: ((list, tuple), "an array"),
-    frozenset: ((list, tuple), "an array"),
+# The JSON kind of a config field, by its annotation. The roster is read by
+# `from_dict`; `confidence_weights` and `credentials_env` are left to their
+# dataclass, whose message shows at most 8 characters of a pasted key.
+_FIELD_KINDS = {
+    "str": JsonKind.STRING, "str | None": JsonKind.OPTIONAL_STRING,
+    "int": JsonKind.INTEGER, "float": JsonKind.NUMBER,
+    "tuple[str, ...]": JsonKind.STRINGS, "frozenset[str]": JsonKind.STRINGS,
 }
 
 
@@ -204,24 +200,15 @@ def _json_kwargs(cls: type, data: Any, what: str) -> dict[str, Any]:
     """
     if not isinstance(data, Mapping):
         raise ConfigError(f"{what} must be a JSON object")
-    declared = {f.name: f for f in fields(cls)}
-    unknown = set(data) - set(declared)
+    annotations = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(annotations)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     kwargs = dict(data)
-    for name, value in data.items():
-        convert = type(declared[name].default)
-        if convert in _JSON_CONVERSIONS:
-            accepted, noun = _JSON_CONVERSIONS[convert]
-            # Converting anything else would quietly misread it: int(2.9) is 2,
-            # int(True) is 1 (bool is an int to isinstance), and tuple("abc")
-            # is the string's characters.
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ConfigError(f"{name} must be {noun}")
-            try:
-                kwargs[name] = convert(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"{name}: {exc}") from exc
+    for name in data:
+        kind = _FIELD_KINDS.get(annotations[name])
+        if kind is not None and name != "credentials_env":
+            kwargs[name] = json_value(data, name, kind, ConfigError)
     return kwargs
 
 

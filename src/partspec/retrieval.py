@@ -14,12 +14,20 @@ import struct
 import zlib
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from .core import check_utf8, read_json_file, read_text_file, render_leaf_value
+from .core import (
+    JsonKind,
+    check_utf8,
+    json_value,
+    read_json_file,
+    read_text_file,
+    render_leaf_value,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -121,21 +129,14 @@ def ingest_records(path: str | Path, format: str | None = None) -> list[PartReco
     the module logger; only file-level problems raise FormatError.
     """
     path = Path(path)
+    readers = {"csv": _read_csv_rows, "json": _read_json_rows}
     if format is None:
-        suffix = path.suffix.lower()
-        if suffix == ".csv":
-            format = "csv"
-        elif suffix == ".json":
-            format = "json"
-        else:
-            raise FormatError(f"{path}: cannot infer format from suffix {suffix!r}")
-    if format not in ("csv", "json"):
+        format = path.suffix.lower().removeprefix(".")
+        if format not in readers:
+            raise FormatError(f"{path}: cannot infer format from suffix {path.suffix.lower()!r}")
+    elif format not in readers:
         raise FormatError(f"{path}: unsupported format {format!r}")
-
-    if format == "csv":
-        rows = _read_csv_rows(path)
-    else:
-        rows = _read_json_rows(path)
+    rows = readers[format](path)
 
     records: list[PartRecord] = []
     seen_ids: set[str] = set()
@@ -153,14 +154,7 @@ def ingest_records(path: str | Path, format: str | None = None) -> list[PartReco
             logger.warning("%s: duplicate record id %r; skipped", location, record_id)
             continue
         seen_ids.add(record_id)
-        records.append(
-            PartRecord(
-                record_id=record_id,
-                flat_text=flat_text,
-                source=location,
-                raw_fields=raw_fields,
-            )
-        )
+        records.append(PartRecord(record_id, flat_text, location, raw_fields))
     return records
 
 
@@ -421,45 +415,38 @@ class FlatIndex:
             raise ValueError(
                 f"{directory}: manifest lists {len(records)} records, blob holds {count}"
             )
-        for position, entry in enumerate(records):
-            if not (
-                isinstance(entry, Mapping)
-                and isinstance(entry.get("record_id"), str)
-                and isinstance(entry.get("flat_text"), str)
-            ):
-                raise ValueError(
-                    f"{directory}: manifest record {position} needs a string record_id "
-                    "and flat_text"
-                )
-            check_utf8(entry["flat_text"], f"{directory}: manifest record {position} flat_text")
-        embedder = _embedder_from_spec(manifest.get("embedder"), dim, directory)
+        record_ids: list[str] = []
+        flat_texts: list[str] = []
+        sources: list[str] = []
+        for position in range(count):
+            where = f"{directory}: manifest record {position}"
+            entry = json_value(
+                records, position, JsonKind.OBJECT,
+                lambda text: ValueError(f"{directory}: manifest record {text}"),
+            )
+            read = partial(json_value, entry, error=lambda text: ValueError(f"{where}: {text}"))
+            record_ids.append(read("record_id", JsonKind.STRING))
+            flat_texts.append(read("flat_text", JsonKind.STRING))
+            sources.append(read("source", JsonKind.STRING, default=""))
+            check_utf8(flat_texts[-1], f"{where} flat_text")
+        spec = json_value(
+            manifest, "embedder", JsonKind.OBJECT,
+            lambda text: ValueError(f"{directory}: manifest {text}"), {"kind": "hash_trigram"},
+        )
+        if (kind := spec.get("kind")) != "hash_trigram":
+            raise ValueError(f"{directory}: manifest names unknown embedder kind {kind!r}")
+        dimension = json_value(
+            spec, "dimension", JsonKind.INTEGER,
+            lambda text: ValueError(f"{directory}: manifest embedder {text}"), dim,
+        )
+        try:
+            embedder = HashTrigramEmbedder(dimension)
+        except ValueError as exc:
+            raise ValueError(f"{directory}: {exc}") from None
         if embedder.dimension != dim:
             raise ValueError(
                 f"{directory}: embedder dimension {embedder.dimension} does not match "
                 f"the index dimension {dim}"
             )
-        return cls(
-            matrix,
-            [entry["record_id"] for entry in records],
-            [entry["flat_text"] for entry in records],
-            [entry.get("source", "") for entry in records],
-            embedder,
-        )
-
-
-def _embedder_from_spec(spec: Any, dimension: int, directory: Path) -> Embedder:
-    if spec is None:
-        spec = {"kind": "hash_trigram"}
-    if not isinstance(spec, Mapping):
-        raise ValueError(f"{directory}: manifest embedder must be an object")
-    kind = spec.get("kind")
-    if kind != "hash_trigram":
-        raise ValueError(f"{directory}: manifest names unknown embedder kind {kind!r}")
-    dimension = spec.get("dimension", dimension)
-    if not isinstance(dimension, int) or isinstance(dimension, bool):
-        raise ValueError(f"{directory}: manifest embedder dimension must be an integer")
-    try:
-        return HashTrigramEmbedder(dimension)
-    except ValueError as exc:
-        raise ValueError(f"{directory}: {exc}") from None
+        return cls(matrix, record_ids, flat_texts, sources, embedder)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import math
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import pytest
 from conftest import JSON_VALUES, ScriptedHandler, finishes_within
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from partspec import cli, gateway, orchestrator, retrieval, synthesis
@@ -368,6 +369,8 @@ _EVAL_DEFECTS = {
     "string_in_schema": "run.json: description 0: unreadable output (TypeError: in_schema",
     "number_claim_field": "run.json: description 0: unreadable output (TypeError: field",
     "string_confidence": "run.json: description 0: unreadable output (TypeError: confidence",
+    "number_failure_kind": "run.json: description 0: unreadable output (TypeError: kind",
+    "non_string_issue_path": "run.json: description 0: unreadable output (TypeError: path",
 }
 
 # The defects above that set one key of the first description's manifest entry.
@@ -391,6 +394,8 @@ _OUTPUT_VALUES = {
     "string_in_schema": (("claims", 0), "in_schema", "no"),
     "number_claim_field": (("claims", 0), "field", 5),
     "string_confidence": (("claims", 0), "confidence", "0.5"),
+    "number_failure_kind": ((), "failure", {"kind": 5, "detail": None}),
+    "non_string_issue_path": ((), "issues", [{"kind": "missing_field", "path": [2]}]),
 }
 
 
@@ -810,6 +815,31 @@ sys.exit(built.exit_code or extracted.exit_code or live.exit_code)
         assert done.returncode == 0, done.stderr
 
 
+class TestModuleEntryPoint:
+    def test_warnings_name_their_logger(self, corpus, tmp_path):
+        """Run as `python -m partspec.cli`, a warning keeps its logger's name."""
+        descriptions = tmp_path / "one.txt"
+        descriptions.write_text(corpus.cases[0].text + "\n", encoding="utf-8")
+        src = str(Path(cli.__file__).parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "partspec.cli", "extract",
+                "--input", str(descriptions),
+                "--config", str(corpus.empty_config_path),
+                "--index", str(corpus.index_dir),
+            ],
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == EXIT_RUNTIME, done.stderr
+        assert done.stderr.startswith(
+            "WARNING partspec.orchestrator: quorum not met for line-1: 0 of"
+        ), done.stderr
+
+
 class TestEval:
     @pytest.fixture()
     def runs_dir(self, corpus, tmp_path):
@@ -949,43 +979,6 @@ class TestEval:
         assert [outcome.exit_code for outcome in outcomes] == [EXIT_OK, EXIT_OK]
         assert outcomes[0].stdout == outcomes[1].stdout
 
-    @pytest.fixture(scope="class")
-    def run_paths(self, corpus, tmp_path_factory):
-        """A CLI-written run file's text and its paths, grouped by depth."""
-        run_path = tmp_path_factory.mktemp("property") / "run.json"
-        assert run_command(_extract_args(corpus, "--runs-out", str(run_path))).exit_code == EXIT_OK
-        text = run_path.read_text(encoding="utf-8")
-        by_depth: dict[int, list[tuple]] = {}
-        for path in _json_paths(json.loads(text)):
-            by_depth.setdefault(len(path), []).append(path)
-        return text, by_depth
-
-    @settings(
-        max_examples=60,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(data=st.data(), value=JSON_VALUES)
-    def test_any_replaced_subtree_gives_documented_outcome(
-        self, corpus, run_paths, tmp_path, data, value
-    ):
-        text, by_depth = run_paths
-        run = json.loads(text)
-        # Depth first, so shallow keys are drawn as often as deep leaves.
-        path = data.draw(st.sampled_from(by_depth[data.draw(st.sampled_from(sorted(by_depth)))]))
-        if path:
-            reduce(getitem, path[:-1], run)[path[-1]] = value
-        else:
-            run = value
-        (tmp_path / "run.json").write_text(json.dumps(run), encoding="utf-8")
-        outcome = run_command(
-            ["eval", "--runs", str(tmp_path), "--manifest", str(corpus.manifest_path)]
-        )
-        assert outcome.exit_code in (EXIT_OK, EXIT_USAGE), outcome.stderr
-        if outcome.stdout:
-            json.loads(outcome.stdout)
-        assert "Traceback" not in outcome.stderr
-
 
 def _json_paths(node, path=()):
     """Every key/index path into a decoded JSON document, the root included."""
@@ -1000,11 +993,126 @@ def _json_paths(node, path=()):
         yield from _json_paths(child, (*path, key))
 
 
-# Text no JSON loader can decode: cut off, and nested past the recursion limit;
-# and bytes no input file may hold, since they are not UTF-8.
+def _mutations(document):
+    """A strategy for `document` with one subtree, the root included,
+    replaced by any JSON value or by another of its subtrees."""
+    by_depth: dict[int, list[tuple]] = {}
+    for path in _json_paths(document):
+        by_depth.setdefault(len(path), []).append(path)
+    # Depth first, so shallow keys are drawn as often as deep leaves.
+    depths = st.sampled_from(sorted(by_depth))
+    paths = depths.flatmap(lambda depth: st.sampled_from(by_depth[depth]))
+    # A subtree from elsewhere often has the right type, so the file can still load.
+    subtrees = st.sampled_from([reduce(getitem, path, document) for path in _json_paths(document)])
+
+    def replaced(path, value):
+        if not path:
+            return value
+        mutated = copy.deepcopy(document)
+        reduce(getitem, path[:-1], mutated)[path[-1]] = value
+        return mutated
+
+    return st.builds(replaced, paths, JSON_VALUES | subtrees)
+
+
+def _assert_documented_outcome(outcome):
+    """Exit 0, 1 only when no description reached quorum, or 2 with one
+    `error:` line; stdout empty or JSON; no traceback."""
+    assert outcome.exit_code in (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE), outcome.stderr
+    event(f"exit {outcome.exit_code}")
+    assert "Traceback" not in outcome.stderr, outcome.stderr
+    errors = [line for line in outcome.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == (outcome.exit_code == EXIT_USAGE), outcome.stderr
+    if outcome.exit_code == EXIT_RUNTIME:
+        last_line = outcome.stderr.splitlines()[-1]
+        quorum = re.fullmatch(r"(\d+) of (\d+) descriptions did not reach quorum", last_line)
+        assert quorum and quorum[1] == quorum[2], outcome.stderr
+    if outcome.exit_code == EXIT_USAGE:
+        assert outcome.stdout == ""
+    if outcome.stdout:
+        json.loads(outcome.stdout)
+
+
+# The input files `extract` and `eval` read, each mutated by one property.
+_EXTRACT_FILES = {
+    "config": "config.json",
+    "schema": "schema.json",
+    "descriptions": "descriptions.json",
+    "index_manifest": "index/manifest.json",
+}
+_EVAL_FILES = {"eval_manifest": "manifest.json", "run_file": "runs/run.json"}
+
+
+class TestMutatedInputFiles:
+    """One subtree of a valid corpus file replaced by any JSON value gives a
+    documented outcome, whichever input file it is in."""
+
+    @pytest.fixture(scope="class")
+    def mutations(self, corpus, tmp_path_factory):
+        """Each input file's valid document and its mutations strategy."""
+        run_path = tmp_path_factory.mktemp("valid") / "run.json"
+        assert run_command(_extract_args(corpus, "--runs-out", str(run_path))).exit_code == EXIT_OK
+        config = json.loads(corpus.config_path.read_text(encoding="utf-8"))
+        for provider in config["roster"]:
+            # Absolute, so the config holds wherever its copy is written.
+            provider["fixtures_dir"] = str(corpus.config_path.parent / provider["fixtures_dir"])
+        schema = SpecSchema.default()
+        documents = {
+            "config": config,
+            "schema": {
+                "required_fields": list(schema.required_fields),
+                "field_kinds": dict(schema.field_kinds),
+            },
+            # Two descriptions keep each extract short.
+            "descriptions": json.loads(corpus.descriptions_path.read_text(encoding="utf-8"))[:2],
+            "index_manifest": json.loads(
+                (corpus.index_dir / "manifest.json").read_text(encoding="utf-8")
+            ),
+            "eval_manifest": json.loads(corpus.manifest_path.read_text(encoding="utf-8")),
+            "run_file": json.loads(run_path.read_text(encoding="utf-8")),
+        }
+        return {name: (document, _mutations(document)) for name, document in documents.items()}
+
+    @pytest.mark.parametrize("source", [*_EXTRACT_FILES, *_EVAL_FILES])
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_mutated_file_gives_documented_outcome(
+        self, corpus, mutations, tmp_path, source, data
+    ):
+        files = _EXTRACT_FILES if source in _EXTRACT_FILES else _EVAL_FILES
+        paths = {name: tmp_path / relative for name, relative in files.items()}
+        shutil.copytree(corpus.index_dir, tmp_path / "index", dirs_exist_ok=True)
+        (tmp_path / "runs").mkdir(exist_ok=True)
+        for name, path in paths.items():
+            document, mutated = mutations[name]
+            if name == source:
+                document = data.draw(mutated, label=source)
+            path.write_text(json.dumps(document), encoding="utf-8")
+        if files is _EVAL_FILES:
+            args = ["eval", "--runs", str(paths["run_file"].parent)]
+            args += ["--manifest", str(paths["eval_manifest"])]
+        else:
+            args = [
+                "extract",
+                "--input", str(paths["descriptions"]),
+                "--config", str(paths["config"]),
+                "--index", str(tmp_path / "index"),
+                "--schema", str(paths["schema"]),
+            ]
+        _assert_documented_outcome(run_command(args))
+
+
+# Text no JSON loader can decode: cut off, nested past the recursion limit,
+# and an integer past the digits Python converts; and bytes no input file may
+# hold, since they are not UTF-8.
 _UNDECODABLE = {
     "truncated": b'[{"id": ',
     "too_deep": b"[" * 200_000,
+    "too_many_digits": b"[" + b"9" * 5000 + b"]",
     "not_utf8": b"M8 hex bolt, \xff steel\n",
 }
 _JSON_SOURCES = ["config", "descriptions", "index_manifest", "kb", "manifest", "run_file", "schema"]

@@ -289,6 +289,9 @@ class TestEnsembleConfig:
             (None, "confidence_weights", [True, False, False]),
             (None, "confidence_weights", ["0.4", 0.4, 0.2]),
             (None, "confidence_weights", [10**400, 0, 0]),
+            (None, "synthesis_model", ["synth-1"]),
+            (None, "research_models", [["delta"]]),
+            (0, "kind", ["replay_fixture"]),
         ],
         ids=[
             "fixtures_dir_not_string",
@@ -308,6 +311,9 @@ class TestEnsembleConfig:
             "boolean_confidence_weights",
             "string_confidence_weight",
             "overflowing_confidence_weight",
+            "list_synthesis_model",
+            "list_in_research_models",
+            "list_provider_kind",
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, entry, key, value):

@@ -493,6 +493,16 @@ class TestPersistence:
         with pytest.raises(ValueError, match=re.escape(str(tmp_path))):
             FlatIndex.load(tmp_path)
 
+    def test_non_string_source_rejected(self, tmp_path):
+        FlatIndex.build(_corpus(2), HashTrigramEmbedder(16)).save(tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["records"][1]["source"] = 5
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        message = f"{tmp_path}: manifest record 1: source must be a string, got 5"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FlatIndex.load(tmp_path)
+
     def test_lone_surrogate_flat_text_rejected(self, tmp_path):
         FlatIndex.build(_corpus(2), HashTrigramEmbedder(16)).save(tmp_path)
         manifest_path = tmp_path / "manifest.json"
