@@ -12,8 +12,7 @@ import re
 import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from enum import Enum
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Any
 
@@ -96,8 +95,8 @@ def _is_strings(value: Any) -> bool:
     return isinstance(value, (list, tuple)) and all(isinstance(item, str) for item in value)
 
 
-class JsonKind(Enum):
-    """A kind of value `json_value` reads: the words its message uses, and its test."""
+class JsonKind:
+    """The kinds of value `json_value` reads, each the words its message uses and its test."""
 
     STRING = "a string", lambda value: isinstance(value, str)
     OPTIONAL_STRING = "a string or null", lambda value: value is None or isinstance(value, str)
@@ -110,20 +109,20 @@ class JsonKind(Enum):
 
 
 def json_value(
-    data: Any, key: str | int, kind: JsonKind, error: Callable[[str], Exception] = ValueError,
-    default: Any = ...,
+    data: Any, key: str | int, kind: tuple[str, Callable[[Any], bool]],
+    error: Callable[[str], Exception] = ValueError, default: Any = ...,
 ) -> Any:
     """`data[key]` from a decoded JSON object (or array) if it is of `kind`, a
-    number as a float; a missing key reads as `default`, if given. Else raises
-    `error("<key> is missing")` or `error("<key> must be <kind>, got <repr>")`:
-    nothing is converted, as int() would read 2.9 as 2 and true as 1."""
+    `JsonKind`; a number reads as a float, and a missing key as `default` if
+    given. Else raises `error("<key> is missing")` or `error("<key> must be
+    <kind>, got <repr>")`. Nothing is converted: int() reads 2.9 as 2."""
     try:
         value = data[key]
     except LookupError:
         if default is ...:
             raise error(f"{key} is missing") from None
         return default
-    noun, test = kind.value
+    noun, test = kind
     if not test(value):
         raise error(f"{key} must be {noun}, got {value!r}")
     return float(value) if kind is JsonKind.NUMBER else value
@@ -312,17 +311,16 @@ class FieldClaim:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> FieldClaim:
-        read = partial(json_value, data, error=TypeError)
-        value = read("value", JsonKind.STRING)
-        canonical = read("canonical_value", JsonKind.STRING, default=canonicalize_value(value))
+        value = json_value(data, "value", JsonKind.STRING, TypeError)
+        canonical = json_value(data, "canonical_value", JsonKind.STRING, TypeError, None)
         return cls(
-            field=read("field", JsonKind.STRING),
+            field=json_value(data, "field", JsonKind.STRING, TypeError),
             value=value,
-            canonical_value=canonical,
-            confidence=read("confidence", JsonKind.NUMBER, default=1.0),
-            source_model=read("source_model", JsonKind.STRING, default=""),
-            phase=read("phase", JsonKind.STRING, default=PHASE_EXTRACTION),
-            in_schema=read("in_schema", JsonKind.BOOLEAN, default=True),
+            canonical_value=canonicalize_value(value) if canonical is None else canonical,
+            confidence=json_value(data, "confidence", JsonKind.NUMBER, TypeError, 1.0),
+            source_model=json_value(data, "source_model", JsonKind.STRING, TypeError, ""),
+            phase=json_value(data, "phase", JsonKind.STRING, TypeError, PHASE_EXTRACTION),
+            in_schema=json_value(data, "in_schema", JsonKind.BOOLEAN, TypeError, True),
         )
 
 
@@ -426,16 +424,16 @@ class ExtractionResult:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> ExtractionResult:
-        read = partial(json_value, data, error=TypeError)
         failure = data.get("failure")
         if failure is not None:
-            failure = _string_record(Failure, read("failure", JsonKind.OBJECT))
+            failure = json_value(data, "failure", JsonKind.OBJECT, TypeError)
+            failure = _string_record(Failure, failure)
         return cls(
-            model_id=read("model_id", JsonKind.STRING),
-            phase=read("phase", JsonKind.STRING, default=PHASE_EXTRACTION),
+            model_id=json_value(data, "model_id", JsonKind.STRING, TypeError),
+            phase=json_value(data, "phase", JsonKind.STRING, TypeError, PHASE_EXTRACTION),
             claims=tuple(FieldClaim.from_dict(claim) for claim in data.get("claims", ())),
-            schema_valid=read("schema_valid", JsonKind.BOOLEAN, default=False),
-            raw_output=read("raw_output", JsonKind.STRING, default=""),
+            schema_valid=json_value(data, "schema_valid", JsonKind.BOOLEAN, TypeError, False),
+            raw_output=json_value(data, "raw_output", JsonKind.STRING, TypeError, ""),
             failure=failure,
             issues=tuple(_string_record(ValidationIssue, i) for i in data.get("issues", ())),
         )

@@ -14,7 +14,6 @@ import struct
 import zlib
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Any, Protocol, runtime_checkable
 
@@ -418,16 +417,17 @@ class FlatIndex:
         record_ids: list[str] = []
         flat_texts: list[str] = []
         sources: list[str] = []
-        for position in range(count):
+
+        def refuse(text: str) -> ValueError:  # `where` names the record being read
+            return ValueError(f"{where}: {text}")
+
+        for position, entry in enumerate(records):
             where = f"{directory}: manifest record {position}"
-            entry = json_value(
-                records, position, JsonKind.OBJECT,
-                lambda text: ValueError(f"{directory}: manifest record {text}"),
-            )
-            read = partial(json_value, entry, error=lambda text: ValueError(f"{where}: {text}"))
-            record_ids.append(read("record_id", JsonKind.STRING))
-            flat_texts.append(read("flat_text", JsonKind.STRING))
-            sources.append(read("source", JsonKind.STRING, default=""))
+            if not isinstance(entry, Mapping):
+                raise ValueError(f"{where} must be an object, got {entry!r}")
+            record_ids.append(json_value(entry, "record_id", JsonKind.STRING, refuse))
+            flat_texts.append(json_value(entry, "flat_text", JsonKind.STRING, refuse))
+            sources.append(json_value(entry, "source", JsonKind.STRING, refuse, ""))
             check_utf8(flat_texts[-1], f"{where} flat_text")
         spec = json_value(
             manifest, "embedder", JsonKind.OBJECT,

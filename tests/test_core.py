@@ -21,11 +21,13 @@ from partspec.core import (
     ExtractionResult,
     Failure,
     FieldClaim,
+    JsonKind,
     PartDescription,
     SpecSchema,
     ValidationIssue,
     canonicalize_field_name,
     canonicalize_value,
+    json_value,
     render_nested_value,
     validate_spec_document,
 )
@@ -97,6 +99,52 @@ class TestCanonicalizeFieldName:
     @given(st.text(max_size=40))
     def test_output_charset(self, raw):
         assert all("a" <= ch <= "z" or "0" <= ch <= "9" or ch == "_" for ch in canonicalize_field_name(raw))
+
+
+class TestJsonValue:
+    @pytest.mark.parametrize(
+        ("kind", "value"),
+        [
+            (JsonKind.NUMBER, True),
+            (JsonKind.NUMBER, "0.5"),
+            (JsonKind.NUMBER, -(10**400)),
+            (JsonKind.INTEGER, False),
+            (JsonKind.INTEGER, 2.0),
+            (JsonKind.INTEGER, 10**400),
+            (JsonKind.STRING, None),
+            (JsonKind.OPTIONAL_STRING, 5),
+            (JsonKind.BOOLEAN, "false"),
+            (JsonKind.STRINGS, "ab"),
+            (JsonKind.FIELD_NAMES, ["a", 1]),
+            (JsonKind.OBJECT, [1]),
+        ],
+    )
+    def test_refusal_names_key_kind_and_value(self, kind, value):
+        message = f"k must be {kind[0]}, got {value!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            json_value({"k": value}, "k", kind, TypeError)
+
+    @pytest.mark.parametrize(
+        ("kind", "value", "expected"),
+        [
+            (JsonKind.NUMBER, 3, 3.0),
+            (JsonKind.NUMBER, math.inf, math.inf),
+            (JsonKind.INTEGER, 10**300, 10**300),
+            (JsonKind.OPTIONAL_STRING, None, None),
+            (JsonKind.BOOLEAN, False, False),
+            (JsonKind.STRINGS, [], []),
+            (JsonKind.OBJECT, {}, {}),
+        ],
+    )
+    def test_value_of_its_kind_is_read(self, kind, value, expected):
+        read = json_value({"k": value}, "k", kind)
+        assert read == expected and type(read) is type(expected)
+
+    def test_missing_key(self):
+        assert json_value({}, "k", JsonKind.STRING, default=None) is None
+        assert json_value([0.5], 1, JsonKind.NUMBER, default=1) == 1
+        with pytest.raises(TypeError, match="^k is missing$"):
+            json_value({}, "k", JsonKind.STRING, TypeError)
 
 
 class TestPartDescription:
