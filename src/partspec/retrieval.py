@@ -123,9 +123,10 @@ def _flat_items(mapping: Mapping[str, Any], prefix: str = "") -> list[tuple[str,
 def ingest_records(path: str | Path, format: str | None = None) -> list[PartRecord]:
     """Load part records from a CSV (header row) or JSON array file.
 
-    Record ids come from an explicit "id" column/key when present, otherwise
-    "<filename>:<ordinal>". Malformed rows are skipped and reported through
-    the module logger; only file-level problems raise FormatError.
+    Record ids come from an explicit "id" column/key when present (in JSON,
+    a string or an integer), otherwise "<filename>:<ordinal>". Malformed rows
+    are skipped and reported through the module logger; only file-level
+    problems raise FormatError.
     """
     path = Path(path)
     readers = {"csv": _read_csv_rows, "json": _read_json_rows}
@@ -148,7 +149,15 @@ def ingest_records(path: str | Path, format: str | None = None) -> list[PartReco
             logger.warning("%s; skipped", exc)
             continue
         explicit = raw_fields.get("id")
-        record_id = str(explicit) if explicit not in (None, "") else location
+        if explicit in (None, ""):
+            record_id = location
+        elif isinstance(explicit, (str, int)) and not isinstance(explicit, bool):
+            record_id = str(explicit)
+        else:
+            logger.warning(
+                "%s: id must be a string or an integer, got %r; skipped", location, explicit
+            )
+            continue
         if record_id in seen_ids:
             logger.warning("%s: duplicate record id %r; skipped", location, record_id)
             continue

@@ -155,6 +155,25 @@ class TestIngestRecords:
         assert any("kb.json:1" in message for message in caplog.messages)
         assert any("kb.json:3" in message and "UTF-8" in message for message in caplog.messages)
 
+    def test_json_ids_read_as_strings_or_skipped(self, tmp_path, caplog):
+        kb = tmp_path / "kb.json"
+        ids = ["B1", 7, True, {"a": 1}, None, "", 2.5, ["B2"], -3]
+        kb.write_text(json.dumps([{"id": value, "name": "bolt"} for value in ids]),
+                      encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="partspec.retrieval"):
+            records = ingest_records(kb)
+        # A string is the id and an integer its decimal digits; null and ""
+        # fall back to the record's location.
+        assert [record.record_id for record in records] == [
+            "B1", "7", "kb.json:4", "kb.json:5", "-3",
+        ]
+        assert caplog.messages == [
+            "kb.json:2: id must be a string or an integer, got True; skipped",
+            "kb.json:3: id must be a string or an integer, got {'a': 1}; skipped",
+            "kb.json:6: id must be a string or an integer, got 2.5; skipped",
+            "kb.json:7: id must be a string or an integer, got ['B2']; skipped",
+        ]
+
     def test_invalid_json_rejected(self, tmp_path):
         kb = tmp_path / "kb.json"
         kb.write_text("[{", encoding="utf-8")
