@@ -187,16 +187,15 @@ def _cmd_extract(
     # Credentials are read from `env` here and nowhere else in the pipeline.
     invoke_fn = partial(invoke, env=env)
     run_one = partial(run_pipeline, config=config, index=index, schema=schema, invoke_fn=invoke_fn)
-    with batch_executors(config, invoke_fn) as (batch, calls):
-        render = partial(_render_one, partial(run_one, executor=calls), bool(args.runs_out))
-        # One executor serves both exactly when every call runs on the calling
-        # thread: the batch is then pure CPU, so it splits across processes.
-        # Either way, results keep the input order.
-        if batch is calls:
-            rendered = _map_in_shares(render, descriptions)
-        else:
-            rendered = list(batch.map(render, descriptions))
-    documents, entries, reached = zip(*rendered)
+
+    def render_share(share: Sequence[PartDescription]) -> list[tuple[str, str, bool]]:
+        # Opened here, a forked share's threads and connections are its own.
+        with batch_executors(config, invoke_fn) as (batch, calls):
+            render = partial(_render_one, partial(run_one, executor=calls), bool(args.runs_out))
+            return list(batch.map(render, share))
+
+    # Results keep the input order.
+    documents, entries, reached = zip(*_map_in_shares(render_share, descriptions))
 
     text = _join_documents(documents)
     if args.out:
@@ -261,10 +260,12 @@ _MIN_SHARE = 24
 
 
 def _share_count(items: int) -> int:
-    """Processes for a pure-CPU batch of `items`: one per usable CPU, each
-    with at least `_MIN_SHARE` items. Only this one where the platform
-    cannot fork, or while other threads run: a child holds a copy of the
-    calling thread alone, so a lock another thread held stays held there."""
+    """Processes for a batch of `items`: one per usable CPU, each with at
+    least `_MIN_SHARE` items. A batch whose providers answer quickly is CPU
+    work on one interpreter lock per process, whatever its threads wait on.
+    Only this one where the platform cannot fork, or while other threads
+    run: a child holds a copy of the calling thread alone, so a lock another
+    thread held stays held there."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     if threading.active_count() > 1:
@@ -272,20 +273,20 @@ def _share_count(items: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), items // _MIN_SHARE))
 
 
-def _map_in_shares(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
-    """`[fn(item) for item in items]`, cut into `_share_count` contiguous
-    shares.
+def _map_in_shares(fn: Callable[[Sequence[Any]], list[Any]], items: Sequence[Any]) -> list[Any]:
+    """`fn(items)`, for an `fn` that returns one result per item in order,
+    computed by calling `fn` once on each of `_share_count` contiguous shares.
 
     This process runs the first share. Each other share runs in a forked
     child, which sends back only its results, which must be plain values
     `marshal` can encode, and the log records it emitted. The parent
     re-emits those records share by share, so the log reads as if this
-    process had run the whole batch in order. A share that raises fails the
-    batch with its own message; every child is reaped on every path.
+    process had run the shares one after another. A share that raises fails
+    the batch with its own message; every child is reaped on every path.
     """
     shares = _share_count(len(items))
     if shares == 1:
-        return [fn(item) for item in items]
+        return fn(items)
     cuts = [len(items) * share // shares for share in range(shares + 1)]
     children: list[tuple[int, BinaryIO]] = []  # (pid, read end), in share order
     try:
@@ -307,7 +308,7 @@ def _map_in_shares(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
                 children.append((pid, open(read_end, "rb")))
         finally:
             gc.unfreeze()
-        results = [fn(item) for item in items[: cuts[1]]]
+        results = fn(items[: cuts[1]])
         for share in range(1, shares):
             pid, pipe = children[0]
             with pipe:
@@ -326,8 +327,10 @@ def _map_in_shares(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
                 os.waitpid(pid, 0)
 
 
-def _run_child_share(fn: Callable[[Any], Any], items: Sequence[Any], write_end: int) -> NoReturn:
-    """In a forked child: map `fn` over `items`, send the outcome to the
+def _run_child_share(
+    fn: Callable[[Sequence[Any]], list[Any]], items: Sequence[Any], write_end: int
+) -> NoReturn:
+    """In a forked child: call `fn` on `items`, send the outcome to the
     parent through `write_end` and leave without running any exit handler."""
     code = 1
     try:
@@ -338,7 +341,7 @@ def _run_child_share(fn: Callable[[Any], Any], items: Sequence[Any], write_end: 
         package_logger.handlers = [records]
         package_logger.propagate = False
         try:
-            payload = ([fn(item) for item in items], records.records, None)
+            payload = (fn(items), records.records, None)
         except BaseException as exc:  # noqa: BLE001 - the parent reports it
             error = (str(exc), isinstance(exc, _USAGE_ERRORS))
             payload = (None, records.records, error)

@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial, reduce, wraps
 from operator import getitem
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from conftest import JSON_VALUES, ScriptedHandler, finishes_within
@@ -427,27 +428,56 @@ def _http_extract_args(corpus, tmp_path, endpoint, texts):
     ]
 
 
+def _lots(count):
+    """Descriptions whose extraction prompts each quote a distinct lot."""
+    return [f"M8 hex bolt, steel, lot {n:02d}" for n in range(count)]
+
+
+def _subprocess_env():
+    """This environment, with the package's source directory on PYTHONPATH."""
+    src = str(Path(cli.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
 # Every provider call waits this long. A description makes two calls in
 # series: the extraction fan-out, then the synthesis review.
 _CALL_DELAY_S = 0.1
+
+
+class _InFlight:
+    """A server `delay` that waits `delay(user_text)` itself and keeps the
+    peak of requests the server held at once, which shows how many calls,
+    and so how many descriptions, ran at the same time."""
+
+    def __init__(self, delay):
+        self.delay = delay
+        self.lock = threading.Lock()
+        self.now = self.peak = 0
+
+    def __call__(self, user_text):
+        with self.lock:
+            self.now += 1
+            self.peak = max(self.peak, self.now)
+        time.sleep(self.delay(user_text))
+        with self.lock:
+            self.now -= 1
+        return 0.0
 
 
 class TestConcurrentBatch:
     def test_descriptions_overlap(self, corpus, tmp_path, keepalive_server):
         texts = [f"M{n} hex bolt, steel" for n in range(4, 12)]
         args = _http_extract_args(corpus, tmp_path, keepalive_server.url, texts)
-        # One batch without delays first, so lazy set-up is not timed.
-        assert run_command(args).exit_code == EXIT_OK
-        keepalive_server.delay = lambda user_text: _CALL_DELAY_S
-        started = time.perf_counter()
+        keepalive_server.delay = in_flight = _InFlight(lambda user_text: _CALL_DELAY_S)
         outcome = run_command(args)
-        elapsed = time.perf_counter() - started
         assert outcome.exit_code == EXIT_OK
         documents = json.loads(outcome.stdout)
         assert [d["description_id"] for d in documents] == [f"line-{n}" for n in range(1, 9)]
         assert all("fields" in d for d in documents)
-        serial = len(texts) * 2 * _CALL_DELAY_S
-        assert elapsed < serial / 2
+        # A description calls its three extractors at once: more requests
+        # than that in flight means descriptions overlapped.
+        assert in_flight.peak > 3
 
     def test_order_kept_when_later_descriptions_finish_first(
         self, corpus, tmp_path, keepalive_server
@@ -471,33 +501,22 @@ class TestConcurrentBatch:
     def test_batch_width_one_gives_same_bytes(
         self, corpus, tmp_path, keepalive_server, monkeypatch
     ):
-        lock = threading.Lock()
-        in_flight, peaks = [0], []
-
         def staggered(user_text):
-            # Lot n waits (6 - n) x 20 ms here rather than in the server, so
-            # the peak of requests in flight shows how many descriptions ran
-            # at once.
+            # Lot n waits (6 - n) x 20 ms.
             lot = re.search(r"lot (\d)", user_text)
-            with lock:
-                in_flight[0] += 1
-                peaks[-1] = max(peaks[-1], in_flight[0])
-            time.sleep(0.02 * (6 - int(lot.group(1))) if lot else 0.0)
-            with lock:
-                in_flight[0] -= 1
-            return 0.0
+            return 0.02 * (6 - int(lot.group(1))) if lot else 0.0
 
-        keepalive_server.delay = staggered
         texts = [f"M8 hex bolt, steel, lot {n}" for n in range(6)]
         args = _http_extract_args(corpus, tmp_path, keepalive_server.url, texts)
-        outputs = []
+        outputs, peaks = [], []
         for width in (8, 1):
             monkeypatch.setattr(orchestrator, "BATCH_WIDTH", width)
-            peaks.append(0)
+            keepalive_server.delay = in_flight = _InFlight(staggered)
             run_path = tmp_path / f"run-{width}.json"
             outcome = finishes_within(60, lambda: run_command([*args, "--runs-out", str(run_path)]))
             assert outcome.exit_code == EXIT_OK
             outputs.append((outcome.stdout, run_path.read_bytes()))
+            peaks.append(in_flight.peak)
         assert outputs[0] == outputs[1]
         # Each description calls its three extractors at once: at width 8
         # descriptions overlapped, at width 1 they did not.
@@ -592,14 +611,12 @@ class TestReplayBatch:
         ]
         config["min_quorum"] = 1
         config_path.write_text(json.dumps(config), encoding="utf-8")
-        assert run_command(args).exit_code == EXIT_OK
-        keepalive_server.delay = lambda user_text: _CALL_DELAY_S
-        started = time.perf_counter()
+        keepalive_server.delay = in_flight = _InFlight(lambda user_text: _CALL_DELAY_S)
         outcome = run_command(args)
-        elapsed = time.perf_counter() - started
         assert outcome.exit_code == EXIT_OK
         assert all("fields" in d for d in json.loads(outcome.stdout))
-        assert elapsed < len(texts) * 2 * _CALL_DELAY_S / 2
+        # A description makes one HTTP call at a time.
+        assert in_flight.peak > 1
 
 
 def _broken_calls(corpus, monkeypatch):
@@ -627,45 +644,74 @@ def _broken_calls(corpus, monkeypatch):
     monkeypatch.setattr(gateway, "ProviderResponse", breaking)
 
 
+@pytest.fixture(params=["replay", "http"])
+def batch(request, corpus, tmp_path):
+    """A 24-description `extract --runs-out`: the replay corpus, or three
+    HTTP extractors at a kept-alive `server` (None for replay). `ids` are
+    the descriptions' ids in input order."""
+    run_path = tmp_path / "run.json"
+    if request.param == "replay":
+        server = None
+        args = _extract_args(corpus)
+        ids = [case.description_id for case in corpus.cases]
+    else:
+        server = request.getfixturevalue("keepalive_server")
+        args = _http_extract_args(corpus, tmp_path, server.url, _lots(24))
+        ids = [f"line-{n}" for n in range(1, 25)]
+    return SimpleNamespace(
+        args=[*args, "--runs-out", str(run_path)], run_path=run_path, ids=ids, server=server
+    )
+
+
+def _outputs(args, run_path):
+    outcome = run_command(args)
+    return outcome, run_path.read_bytes() if run_path.exists() else None
+
+
 class TestShares:
-    """An all-replay batch splits into one forked share per usable CPU and
-    reads the same as one process: stdout, run file, stderr and exit code."""
+    """A batch splits into one forked share per usable CPU and reads the
+    same as one process: stdout, run file, stderr and exit code."""
 
-    def _outputs(self, corpus, tmp_path, config=None):
-        run_path = tmp_path / "run.json"
-        args = _extract_args(corpus, "--runs-out", str(run_path))
-        if config is not None:
-            args[args.index("--config") + 1] = str(config)
-        outcome = run_command(args)
-        return outcome, run_path.read_bytes() if run_path.exists() else None
-
-    def test_shares_change_no_byte(self, corpus, tmp_path, monkeypatch, shares):
-        _broken_calls(corpus, monkeypatch)
+    def test_shares_change_no_byte(self, corpus, batch, monkeypatch, shares):
+        if batch.server is None:
+            _broken_calls(corpus, monkeypatch)
+            expected = [
+                "WARNING partspec.synthesis: consistency pass for d016 fell back (transport); "
+                "keeping draft",
+                "WARNING partspec.orchestrator: quorum not met for d021: 2 of 3 required",
+                "WARNING partspec.gateway: provider echo raised echo's record broke",
+                "WARNING partspec.gateway: provider echo raised echo's record broke",
+            ]
+        else:
+            # One warning only: a share's HTTP warnings come in completion order.
+            reply = batch.server.reply
+            batch.server.reply = lambda user_text: [] if "lot 20" in user_text else reply(user_text)
+            expected = [
+                "WARNING partspec.orchestrator: quorum not met for line-21: 0 of 2 required"
+            ]
         outputs = []
         for cpus in (1, 2, 3):
             shares(cpus)
-            outputs.append(self._outputs(corpus, tmp_path))
+            outputs.append(_outputs(batch.args, batch.run_path))
             assert len(shares.forks) == cpus - 1
         (outcome, run_file), *others = outputs
         assert all(other == (outcome, run_file) for other in others)
         assert outcome.exit_code == EXIT_OK
         warnings = [line for line in outcome.stderr.splitlines() if line.startswith("WARNING")]
-        assert warnings == [
-            "WARNING partspec.synthesis: consistency pass for d016 fell back (transport); "
-            "keeping draft",
-            "WARNING partspec.orchestrator: quorum not met for d021: 2 of 3 required",
-            "WARNING partspec.gateway: provider echo raised echo's record broke",
-            "WARNING partspec.gateway: provider echo raised echo's record broke",
-        ]
+        assert warnings == expected
         # Each "provider raised" warning carries its traceback.
-        assert outcome.stderr.count("Traceback (most recent call last):") == 2
+        tracebacks = outcome.stderr.count("Traceback (most recent call last):")
+        assert tracebacks == sum("raised" in warning for warning in warnings)
         assert outcome.stderr.endswith("1 of 24 descriptions did not reach quorum\n")
 
     def test_batch_missing_quorum_everywhere_still_fails(self, corpus, tmp_path, shares):
+        run_path = tmp_path / "run.json"
+        args = _extract_args(corpus, "--runs-out", str(run_path))
+        args[args.index("--config") + 1] = str(corpus.empty_config_path)
         outputs = []
         for cpus in (1, 2):
             shares(cpus)
-            outputs.append(self._outputs(corpus, tmp_path, corpus.empty_config_path))
+            outputs.append(_outputs(args, run_path))
         assert outputs[0] == outputs[1]
         assert outputs[1][0].exit_code == EXIT_RUNTIME
         assert outputs[1][0].stderr.count("quorum not met") == len(corpus.cases)
@@ -673,17 +719,19 @@ class TestShares:
     @pytest.mark.parametrize(
         "broken, error, code",
         [
-            ({"d013", "d020"}, RuntimeError, EXIT_RUNTIME),
-            ({"d013"}, ValueError, EXIT_USAGE),
-            ({"d002", "d013"}, RuntimeError, EXIT_RUNTIME),
+            ({12, 19}, RuntimeError, EXIT_RUNTIME),
+            ({12}, ValueError, EXIT_USAGE),
+            ({1, 12}, RuntimeError, EXIT_RUNTIME),
         ],
         ids=["child_raises", "child_raises_usage_error", "parent_share_raises"],
     )
     def test_a_raising_share_fails_the_batch(
-        self, corpus, tmp_path, monkeypatch, shares, broken, error, code
+        self, batch, monkeypatch, shares, broken, error, code
     ):
+        broken_ids = {batch.ids[position] for position in broken}
+
         def raising(description, **kwargs):
-            if description.id in broken:
+            if description.id in broken_ids:
                 raise error(f"share broke at {description.id}")
             return run_pipeline(description, **kwargs)
 
@@ -691,16 +739,16 @@ class TestShares:
         outcomes = []
         for cpus in (2, 1):
             shares(cpus)
-            outcome, run_file = self._outputs(corpus, tmp_path)
+            outcome, run_file = _outputs(batch.args, batch.run_path)
             assert (outcome.exit_code, outcome.stdout, run_file) == (code, "", None)
             # The first broken description in input order is the one reported.
-            assert outcome.stderr == f"error: share broke at {min(broken)}\n"
+            assert outcome.stderr == f"error: share broke at {batch.ids[min(broken)]}\n"
             outcomes.append(outcome)
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
         assert outcomes[0] == outcomes[1]
 
-    def test_a_killed_share_fails_the_batch(self, corpus, tmp_path, monkeypatch, shares):
+    def test_a_killed_share_fails_the_batch(self, batch, monkeypatch, shares):
         parent = os.getpid()
 
         def dying(description, **kwargs):
@@ -710,13 +758,41 @@ class TestShares:
 
         monkeypatch.setattr(cli, "run_pipeline", dying)
         shares(2)
-        outcome, run_file = self._outputs(corpus, tmp_path)
+        outcome, run_file = _outputs(batch.args, batch.run_path)
         assert (outcome.exit_code, outcome.stdout, run_file) == (EXIT_RUNTIME, "", None)
         assert outcome.stderr == (
             "error: the process running descriptions 13-24 ended without a result (signal 9)\n"
         )
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(
+        shutil.which("taskset") is None or not hasattr(os, "fork"),
+        reason="needs taskset and os.fork",
+    )
+    def test_fresh_http_process_matches_one_cpu(self, corpus, tmp_path, keepalive_server):
+        """`python -m partspec.cli extract` on 48 HTTP descriptions: held to
+        one CPU by `taskset` it runs one share, else one share per usable CPU
+        (up to two), and both write the same bytes."""
+        reply = keepalive_server.reply
+        keepalive_server.reply = lambda text: [] if "lot 40" in text else reply(text)
+        run_path = tmp_path / "run.json"
+        args = [*_http_extract_args(corpus, tmp_path, keepalive_server.url, _lots(48)),
+                "--runs-out", str(run_path)]
+        cpu = str(min(os.sched_getaffinity(0)))
+        outputs = []
+        for prefix in ([], ["taskset", "-c", cpu]):
+            done = subprocess.run(
+                [*prefix, sys.executable, "-m", "partspec.cli", *args],
+                env=_subprocess_env(), capture_output=True, timeout=120,
+            )
+            outputs.append((done.returncode, done.stdout, done.stderr, run_path.read_bytes()))
+            run_path.unlink()
+        assert outputs[0] == outputs[1]
+        code, stdout, stderr, _ = outputs[0]
+        assert code == EXIT_OK, stderr
+        assert len(json.loads(stdout)) == 48
+        assert stderr.endswith(b"1 of 48 descriptions did not reach quorum\n")
 
     def test_one_description_never_forks(self, corpus, tmp_path, shares):
         descriptions = tmp_path / "one.txt"
@@ -798,8 +874,6 @@ if "http.client" not in sys.modules:
 check("extract with an HTTP provider", "requests")
 sys.exit(built.exit_code or extracted.exit_code or live.exit_code)
 """
-        src = str(Path(cli.__file__).parents[1])
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         http_args = _http_extract_args(corpus, tmp_path, keepalive_server.url, ["M8 hex bolt"])
         argv = [
             str(corpus.kb_path), str(tmp_path / "index"),
@@ -807,7 +881,7 @@ sys.exit(built.exit_code or extracted.exit_code or live.exit_code)
         ]
         done = subprocess.run(
             [sys.executable, "-c", script, *argv],
-            env={**os.environ, "PYTHONPATH": pythonpath},
+            env=_subprocess_env(),
             capture_output=True,
             text=True,
             timeout=120,
@@ -820,8 +894,6 @@ class TestModuleEntryPoint:
         """Run as `python -m partspec.cli`, a warning keeps its logger's name."""
         descriptions = tmp_path / "one.txt"
         descriptions.write_text(corpus.cases[0].text + "\n", encoding="utf-8")
-        src = str(Path(cli.__file__).parents[1])
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         done = subprocess.run(
             [
                 sys.executable, "-m", "partspec.cli", "extract",
@@ -829,7 +901,7 @@ class TestModuleEntryPoint:
                 "--config", str(corpus.empty_config_path),
                 "--index", str(corpus.index_dir),
             ],
-            env={**os.environ, "PYTHONPATH": pythonpath},
+            env=_subprocess_env(),
             capture_output=True,
             text=True,
             timeout=120,
