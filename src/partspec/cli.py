@@ -38,7 +38,7 @@ from .core import (
 )
 from .gateway import invoke
 from .metrics import GroundTruthManifest, evaluate_run, load_runs_dir
-from .orchestrator import EnsembleConfig, PipelineResult, batch_executors, run_pipeline
+from .orchestrator import EnsembleConfig, PipelineResult, batch_executors, calls_wait, run_pipeline
 from .retrieval import DEFAULT_DIMENSION, FlatIndex, HashTrigramEmbedder, ingest_records
 
 EXIT_OK = 0
@@ -194,8 +194,9 @@ def _cmd_extract(
             render = partial(_render_one, partial(run_one, executor=calls), bool(args.runs_out))
             return list(batch.map(render, share))
 
+    most = _MOST_WAITING_SHARES if calls_wait(config, invoke_fn) else sys.maxsize
     # Results keep the input order.
-    documents, entries, reached = zip(*_map_in_shares(render_share, descriptions))
+    documents, entries, reached = zip(*_map_in_shares(render_share, descriptions, most))
 
     text = _join_documents(documents)
     if args.out:
@@ -258,24 +259,32 @@ def _join_run_file(system_id: str, entries: Sequence[str]) -> str:
 # the copy-on-write faults it brings on cost more than the share saves.
 _MIN_SHARE = 24
 
+# Most shares for a batch whose provider calls may wait. Each share keeps
+# `orchestrator.BATCH_WIDTH` = 8 descriptions in flight, so one batch sends a
+# provider at most 16 requests at once, however many CPUs there are.
+_MOST_WAITING_SHARES = 2
 
-def _share_count(items: int) -> int:
+
+def _share_count(items: int, most: int = sys.maxsize) -> int:
     """Processes for a batch of `items`: one per usable CPU, each with at
-    least `_MIN_SHARE` items. A batch whose providers answer quickly is CPU
-    work on one interpreter lock per process, whatever its threads wait on.
-    Only this one where the platform cannot fork, or while other threads
-    run: a child holds a copy of the calling thread alone, so a lock another
-    thread held stays held there."""
+    least `_MIN_SHARE` items, and no more than `most`. A batch whose
+    providers answer quickly is CPU work on one interpreter lock per process,
+    whatever its threads wait on. Only this one where the platform cannot
+    fork, or while other threads run: a child holds a copy of the calling
+    thread alone, so a lock another thread held stays held there."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     if threading.active_count() > 1:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), items // _MIN_SHARE))
+    return max(1, min(len(os.sched_getaffinity(0)), items // _MIN_SHARE, most))
 
 
-def _map_in_shares(fn: Callable[[Sequence[Any]], list[Any]], items: Sequence[Any]) -> list[Any]:
+def _map_in_shares(
+    fn: Callable[[Sequence[Any]], list[Any]], items: Sequence[Any], most: int = sys.maxsize
+) -> list[Any]:
     """`fn(items)`, for an `fn` that returns one result per item in order,
-    computed by calling `fn` once on each of `_share_count` contiguous shares.
+    computed by calling `fn` once on each of `_share_count(len(items), most)`
+    contiguous shares.
 
     This process runs the first share. Each other share runs in a forked
     child, which sends back only its results, which must be plain values
@@ -284,7 +293,7 @@ def _map_in_shares(fn: Callable[[Sequence[Any]], list[Any]], items: Sequence[Any
     process had run the shares one after another. A share that raises fails
     the batch with its own message; every child is reaped on every path.
     """
-    shares = _share_count(len(items))
+    shares = _share_count(len(items), most)
     if shares == 1:
         return fn(items)
     cuts = [len(items) * share // shares for share in range(shares + 1)]

@@ -101,6 +101,9 @@ class JsonKind:
     STRING = "a string", lambda value: isinstance(value, str)
     OPTIONAL_STRING = "a string or null", lambda value: value is None or isinstance(value, str)
     INTEGER = "an integer", lambda value: isinstance(value, int) and _is_number(value)
+    STRING_OR_INTEGER = "a string or an integer", lambda value: (
+        isinstance(value, str) or (isinstance(value, int) and _is_number(value))
+    )
     NUMBER = "a number", _is_number
     BOOLEAN = "a boolean", lambda value: isinstance(value, bool)
     STRINGS = "an array of strings", _is_strings

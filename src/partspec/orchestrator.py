@@ -58,6 +58,7 @@ __all__ = [
     "PipelineResult",
     "batch_executors",
     "build_prompt",
+    "calls_wait",
     "extract_phase",
     "identify_gaps",
     "research_phase",
@@ -305,17 +306,12 @@ def batch_executors(
     (default `BATCH_WIDTH`); the one place that decides where provider calls
     run. Map `run_pipeline` on the first with `executor=` the second.
 
-    Both are the calling thread when the calls wait on nothing: an all-replay
-    roster through the library's `invoke`, bare or with only `env` bound,
-    only reads fixtures. Any other call may wait on a network, a sleep or a
-    lock, so descriptions run on a pool of `width` threads and their calls
-    share a pool of `width` times the roster. Description tasks wait on call
-    tasks, which wait on nothing, so the pools cannot deadlock.
+    Both are the calling thread unless `calls_wait`. Otherwise descriptions
+    run on a pool of `width` threads and their calls share a pool of `width`
+    times the roster. Description tasks wait on call tasks, which wait on
+    nothing, so the pools cannot deadlock.
     """
-    bare = invoke_fn
-    if isinstance(bare, partial) and not bare.args and set(bare.keywords) <= {"env"}:
-        bare = bare.func
-    if bare is invoke and all(p.kind == KIND_REPLAY for p in config.roster):
+    if not calls_wait(config, invoke_fn):
         calling_thread = _CallingThread()
         yield calling_thread, calling_thread
         return
@@ -326,6 +322,17 @@ def batch_executors(
         ThreadPoolExecutor(width) as descriptions,
     ):
         yield descriptions, calls
+
+
+def calls_wait(config: EnsembleConfig, invoke_fn: Callable[..., Any]) -> bool:
+    """Whether `invoke_fn`'s calls to `config`'s roster may wait on a
+    network, a sleep or a lock. They wait on nothing only for an all-replay
+    roster through the library's `invoke`, bare or with only `env` bound,
+    which only reads fixtures."""
+    bare = invoke_fn
+    if isinstance(bare, partial) and not bare.args and set(bare.keywords) <= {"env"}:
+        bare = bare.func
+    return bare is not invoke or any(p.kind != KIND_REPLAY for p in config.roster)
 
 
 @contextmanager

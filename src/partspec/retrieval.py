@@ -148,16 +148,14 @@ def ingest_records(path: str | Path, format: str | None = None) -> list[PartReco
         except ValueError as exc:
             logger.warning("%s; skipped", exc)
             continue
-        explicit = raw_fields.get("id")
-        if explicit in (None, ""):
+        if raw_fields.get("id") in (None, ""):
             record_id = location
-        elif isinstance(explicit, (str, int)) and not isinstance(explicit, bool):
-            record_id = str(explicit)
         else:
-            logger.warning(
-                "%s: id must be a string or an integer, got %r; skipped", location, explicit
-            )
-            continue
+            try:
+                record_id = str(json_value(raw_fields, "id", JsonKind.STRING_OR_INTEGER))
+            except ValueError as exc:
+                logger.warning("%s: %s; skipped", location, exc)
+                continue
         if record_id in seen_ids:
             logger.warning("%s: duplicate record id %r; skipped", location, record_id)
             continue

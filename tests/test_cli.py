@@ -611,12 +611,16 @@ class TestReplayBatch:
         ]
         config["min_quorum"] = 1
         config_path.write_text(json.dumps(config), encoding="utf-8")
+        # One batch without delays first, so lazy set-up does not hold back
+        # the first descriptions.
+        assert run_command(args).exit_code == EXIT_OK
         keepalive_server.delay = in_flight = _InFlight(lambda user_text: _CALL_DELAY_S)
         outcome = run_command(args)
         assert outcome.exit_code == EXIT_OK
         assert all("fields" in d for d in json.loads(outcome.stdout))
-        # A description makes one HTTP call at a time.
-        assert in_flight.peak > 1
+        # A description makes one HTTP call at a time, so more than two
+        # requests in flight means more than two descriptions ran at once.
+        assert in_flight.peak > 2
 
 
 def _broken_calls(corpus, monkeypatch):
@@ -648,18 +652,24 @@ def _broken_calls(corpus, monkeypatch):
 def batch(request, corpus, tmp_path):
     """A 24-description `extract --runs-out`: the replay corpus, or three
     HTTP extractors at a kept-alive `server` (None for replay). `ids` are
-    the descriptions' ids in input order."""
+    the descriptions' ids in input order; `most_shares` bounds the shares
+    the batch is cut into."""
     run_path = tmp_path / "run.json"
     if request.param == "replay":
-        server = None
+        server, most_shares = None, len(corpus.cases)
         args = _extract_args(corpus)
         ids = [case.description_id for case in corpus.cases]
     else:
         server = request.getfixturevalue("keepalive_server")
+        most_shares = cli._MOST_WAITING_SHARES
         args = _http_extract_args(corpus, tmp_path, server.url, _lots(24))
         ids = [f"line-{n}" for n in range(1, 25)]
     return SimpleNamespace(
-        args=[*args, "--runs-out", str(run_path)], run_path=run_path, ids=ids, server=server
+        args=[*args, "--runs-out", str(run_path)],
+        run_path=run_path,
+        ids=ids,
+        server=server,
+        most_shares=most_shares,
     )
 
 
@@ -693,7 +703,7 @@ class TestShares:
         for cpus in (1, 2, 3):
             shares(cpus)
             outputs.append(_outputs(batch.args, batch.run_path))
-            assert len(shares.forks) == cpus - 1
+            assert len(shares.forks) == min(cpus, batch.most_shares) - 1
         (outcome, run_file), *others = outputs
         assert all(other == (outcome, run_file) for other in others)
         assert outcome.exit_code == EXIT_OK
@@ -812,6 +822,15 @@ class TestShares:
         monkeypatch.setattr(cli, "_MIN_SHARE", 10)
         monkeypatch.setattr(threading, "active_count", lambda: 1)
         assert cli._share_count(items) == expected
+
+    @pytest.mark.parametrize(
+        "cpus, items, expected", [(1, 1000, 1), (2, 19, 1), (3, 30, 2), (8, 1000, 2)]
+    )
+    def test_share_count_at_most(self, monkeypatch, cpus, items, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(cli, "_MIN_SHARE", 10)
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        assert cli._share_count(items, 2) == expected
 
     @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
     def test_one_process_without_fork_or_affinity(self, monkeypatch, missing):

@@ -113,6 +113,8 @@ class TestJsonValue:
             (JsonKind.INTEGER, 10**400),
             (JsonKind.STRING, None),
             (JsonKind.OPTIONAL_STRING, 5),
+            (JsonKind.STRING_OR_INTEGER, True),
+            (JsonKind.STRING_OR_INTEGER, 2.5),
             (JsonKind.BOOLEAN, "false"),
             (JsonKind.STRINGS, "ab"),
             (JsonKind.FIELD_NAMES, ["a", 1]),
@@ -131,6 +133,8 @@ class TestJsonValue:
             (JsonKind.NUMBER, math.inf, math.inf),
             (JsonKind.INTEGER, 10**300, 10**300),
             (JsonKind.OPTIONAL_STRING, None, None),
+            (JsonKind.STRING_OR_INTEGER, "B2", "B2"),
+            (JsonKind.STRING_OR_INTEGER, 7, 7),
             (JsonKind.BOOLEAN, False, False),
             (JsonKind.STRINGS, [], []),
             (JsonKind.OBJECT, {}, {}),
