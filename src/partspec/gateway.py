@@ -36,6 +36,7 @@ from .core import (
     Failure,
     ProviderResponse,
     SpecSchema,
+    read_text_file,
     validate_spec_document,
 )
 
@@ -199,30 +200,12 @@ class ReplayBackend:
         key = fixture_key(model_id, request.user_text)
         path = f"{_fixture_prefix(fixtures_dir, model_id)}{key}.txt"
         try:
-            return _read_text(path)
+            text = read_text_file(path, functools.partial(BackendError, FAIL_TRANSPORT))
         except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
             # A missing fixture will stay missing; retrying would only waste time.
             raise BackendError(FAIL_TRANSPORT, f"no fixture at {path}") from None
-
-
-def _read_text(path: str) -> str:
-    """The text `open(path, encoding="utf-8").read()` returns: strict UTF-8,
-    CRLF and a lone CR read as LF, and a byte order mark kept.
-
-    Reads the bytes with `os.read` and decodes them whole, which costs about
-    a third of what opening a text-mode stream does.
-    """
-    fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
-    try:
-        chunks = []
-        while chunk := os.read(fd, 1 << 16):
-            chunks.append(chunk)
-    finally:
-        os.close(fd)
-    text = b"".join(chunks).decode("utf-8")
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+        # Line ends as a text-mode read gives them: CRLF and a lone CR read as LF.
+        return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 @functools.lru_cache(maxsize=64)

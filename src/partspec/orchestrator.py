@@ -288,7 +288,7 @@ def build_prompt(
     )
 
 
-# Descriptions one batch runs at once, unless the caller gives a width.
+# Descriptions one batch runs at once.
 BATCH_WIDTH = 8
 
 
@@ -300,26 +300,25 @@ class _CallingThread(Executor):
 
 @contextmanager
 def batch_executors(
-    config: EnsembleConfig, invoke_fn: Callable[..., Any], width: int | None = None
+    config: EnsembleConfig, invoke_fn: Callable[..., Any]
 ) -> Iterator[tuple[Executor, Executor]]:
-    """(descriptions, calls) executors for a batch of `width` descriptions
-    (default `BATCH_WIDTH`); the one place that decides where provider calls
-    run. Map `run_pipeline` on the first with `executor=` the second.
+    """(descriptions, calls) executors for a batch; the one place that
+    decides where provider calls run. Map `run_pipeline` on the first with
+    `executor=` the second.
 
     Both are the calling thread unless `calls_wait`. Otherwise descriptions
-    run on a pool of `width` threads and their calls share a pool of `width`
-    times the roster. Description tasks wait on call tasks, which wait on
-    nothing, so the pools cannot deadlock.
+    run on a pool of `BATCH_WIDTH` threads and their calls share a pool of
+    `BATCH_WIDTH` times the roster. Description tasks wait on call tasks,
+    which wait on nothing, so the pools cannot deadlock.
     """
     if not calls_wait(config, invoke_fn):
         calling_thread = _CallingThread()
         yield calling_thread, calling_thread
         return
-    width = BATCH_WIDTH if width is None else width
     # The descriptions pool shuts down first: its tasks wait on the calls pool.
     with (
-        ThreadPoolExecutor(width * len(config.roster)) as calls,
-        ThreadPoolExecutor(width) as descriptions,
+        ThreadPoolExecutor(BATCH_WIDTH * len(config.roster)) as calls,
+        ThreadPoolExecutor(BATCH_WIDTH) as descriptions,
     ):
         yield descriptions, calls
 
@@ -339,11 +338,12 @@ def calls_wait(config: EnsembleConfig, invoke_fn: Callable[..., Any]) -> bool:
 def _call_pool(
     executor: Executor | None, config: EnsembleConfig, invoke_fn: Callable[..., Any]
 ) -> Iterator[Executor]:
-    """The caller's executor, else the calls executor of a batch of one."""
+    """The caller's executor, else a batch's calls executor. Its pool starts a
+    thread only when none is idle, so one description starts one per call at most."""
     if executor is not None:
         yield executor
     else:
-        with batch_executors(config, invoke_fn, 1) as (_, calls):
+        with batch_executors(config, invoke_fn) as (_, calls):
             yield calls
 
 

@@ -8,6 +8,7 @@ single-writer; a built index is immutable and safe for concurrent readers.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import struct
@@ -165,34 +166,30 @@ def ingest_records(path: str | Path, format: str | None = None) -> list[PartReco
 
 
 def _read_csv_rows(path: Path) -> list[tuple[int, dict[str, Any]]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        # csv.Error (a cell over the field size limit, say) is not a
-        # ValueError. The limit is process-wide state, so it is left alone.
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise FormatError(f"{path}: CSV file has no header row")
-            rows: list[tuple[int, dict[str, Any]]] = []
-            for ordinal, row in enumerate(reader):
-                if len(row) != len(header):
-                    logger.warning(
-                        "%s:%d: expected %d columns, found %d; row skipped",
-                        path.name,
-                        ordinal,
-                        len(header),
-                        len(row),
-                    )
-                    continue
-                rows.append((ordinal, dict(zip(header, row))))
-        except csv.Error as exc:
-            raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:
-            # The streaming decoder counts byte positions from its last chunk;
-            # read_text_file decodes the whole file, so its message has the
-            # file's name and the byte's offset in it.
-            read_text_file(path, FormatError)
-            raise
+    # As utf-8-sig would, drop a byte order mark; newline="" gives cells the
+    # file's own line ends, as the csv module asks.
+    text = read_text_file(path, FormatError).removeprefix("\ufeff")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    # csv.Error (a cell over the field size limit, say) is not a
+    # ValueError. The limit is process-wide state, so it is left alone.
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(f"{path}: CSV file has no header row")
+        rows: list[tuple[int, dict[str, Any]]] = []
+        for ordinal, row in enumerate(reader):
+            if len(row) != len(header):
+                logger.warning(
+                    "%s:%d: expected %d columns, found %d; row skipped",
+                    path.name,
+                    ordinal,
+                    len(header),
+                    len(row),
+                )
+                continue
+            rows.append((ordinal, dict(zip(header, row))))
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
     return rows
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import csv
 import io
 import json
 import math
@@ -25,6 +26,7 @@ import pytest
 from conftest import JSON_VALUES, ScriptedHandler, finishes_within
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.control import currently_in_test_context
 
 from partspec import cli, gateway, orchestrator, retrieval, synthesis
 from partspec.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, run_command
@@ -87,6 +89,32 @@ class TestIndexBuild:
         )
         assert outcome.exit_code == EXIT_USAGE
         assert "error:" in outcome.stderr
+
+    @pytest.mark.parametrize("content", ["csv", "json"])
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_format_flag_overrides_suffix(self, corpus, tmp_path, content, format):
+        """The file's suffix names the other format; `--format` decides how it
+        is read. Read as what it holds, it builds the index its own suffix
+        builds; read as the other format, it gives a documented outcome."""
+        data = _kb_csv(corpus) if content == "csv" else corpus.kb_path.read_bytes()
+        other = {"csv": "json", "json": "csv"}[format]
+        misnamed, named = tmp_path / f"kb.{other}", tmp_path / f"kb.{content}"
+        misnamed.write_bytes(data)
+        named.write_bytes(data)
+        args = ["index", "build", "--kb", str(misnamed), "--out", str(tmp_path / "flag")]
+        outcome = run_command([*args, "--format", format])
+        _assert_documented_outcome(outcome)
+        if content == format:
+            assert outcome.exit_code == EXIT_OK, outcome.stderr
+            suffix = ["index", "build", "--kb", str(named), "--out", str(tmp_path / "suffix")]
+            assert run_command(suffix).exit_code == EXIT_OK
+            for filename in ("vectors.sfix", "manifest.json"):
+                by_suffix = (tmp_path / "suffix" / filename).read_bytes()
+                by_flag = (tmp_path / "flag" / filename).read_bytes()
+                # Record sources name the file, which differs only in its suffix.
+                assert by_flag.replace(misnamed.name.encode(), named.name.encode()) == by_suffix
+        elif format == "json":
+            assert outcome.stderr.startswith(f"error: {misnamed}: invalid JSON")
 
     def test_unknown_suffix_is_usage_error(self, tmp_path):
         kb = tmp_path / "kb.xml"
@@ -1110,7 +1138,8 @@ def _assert_documented_outcome(outcome):
     """Exit 0, 1 only when no description reached quorum, or 2 with one
     `error:` line; stdout empty or JSON; no traceback."""
     assert outcome.exit_code in (EXIT_OK, EXIT_RUNTIME, EXIT_USAGE), outcome.stderr
-    event(f"exit {outcome.exit_code}")
+    if currently_in_test_context():
+        event(f"exit {outcome.exit_code}")
     assert "Traceback" not in outcome.stderr, outcome.stderr
     errors = [line for line in outcome.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == (outcome.exit_code == EXIT_USAGE), outcome.stderr
@@ -1132,6 +1161,7 @@ _EXTRACT_FILES = {
     "index_manifest": "index/manifest.json",
 }
 _EVAL_FILES = {"eval_manifest": "manifest.json", "run_file": "runs/run.json"}
+_INDEX_BUILD_FILES = {"kb": "kb.json"}
 
 
 class TestMutatedInputFiles:
@@ -1161,10 +1191,11 @@ class TestMutatedInputFiles:
             ),
             "eval_manifest": json.loads(corpus.manifest_path.read_text(encoding="utf-8")),
             "run_file": json.loads(run_path.read_text(encoding="utf-8")),
+            "kb": json.loads(corpus.kb_path.read_text(encoding="utf-8")),
         }
         return {name: (document, _mutations(document)) for name, document in documents.items()}
 
-    @pytest.mark.parametrize("source", [*_EXTRACT_FILES, *_EVAL_FILES])
+    @pytest.mark.parametrize("source", [*_EXTRACT_FILES, *_EVAL_FILES, *_INDEX_BUILD_FILES])
     @settings(
         max_examples=40,
         deadline=None,
@@ -1174,7 +1205,9 @@ class TestMutatedInputFiles:
     def test_mutated_file_gives_documented_outcome(
         self, corpus, mutations, tmp_path, source, data
     ):
-        files = _EXTRACT_FILES if source in _EXTRACT_FILES else _EVAL_FILES
+        files = next(
+            files for files in (_EXTRACT_FILES, _EVAL_FILES, _INDEX_BUILD_FILES) if source in files
+        )
         paths = {name: tmp_path / relative for name, relative in files.items()}
         shutil.copytree(corpus.index_dir, tmp_path / "index", dirs_exist_ok=True)
         (tmp_path / "runs").mkdir(exist_ok=True)
@@ -1186,6 +1219,8 @@ class TestMutatedInputFiles:
         if files is _EVAL_FILES:
             args = ["eval", "--runs", str(paths["run_file"].parent)]
             args += ["--manifest", str(paths["eval_manifest"])]
+        elif files is _INDEX_BUILD_FILES:
+            args = ["index", "build", "--kb", str(paths["kb"]), "--out", str(tmp_path / "built")]
         else:
             args = [
                 "extract",
@@ -1195,6 +1230,137 @@ class TestMutatedInputFiles:
                 "--schema", str(paths["schema"]),
             ]
         _assert_documented_outcome(run_command(args))
+
+
+def _byte_mutations(data, end=None):
+    """A strategy for `data` cut off, with one byte flipped, or with bytes
+    inserted, at a position before `end` (default: anywhere)."""
+    end = len(data) if end is None else end
+    cut = st.integers(0, end).map(lambda at: data[:at])
+    flipped = st.builds(
+        lambda at, mask: data[:at] + bytes([data[at] ^ mask]) + data[at + 1 :],
+        st.integers(0, end - 1),
+        st.integers(1, 255),
+    )
+    # Bytes that mean something to a CSV reader or a UTF-8 decoder, or any others.
+    inserts = st.sampled_from([b'"', b",", b"\r", b"\n", b"\x00", b"\xef\xbb\xbf", b"\xff"])
+    inserted = st.builds(
+        lambda at, extra: data[:at] + extra + data[at:],
+        st.integers(0, end),
+        inserts | st.binary(min_size=1, max_size=8),
+    )
+    return st.one_of(cut, flipped, inserted)
+
+
+def _kb_csv(corpus):
+    """The corpus knowledge base as CSV bytes, one column per key."""
+    records = json.loads(corpus.kb_path.read_text(encoding="utf-8"))
+    out = io.StringIO(newline="")
+    writer = csv.DictWriter(out, sorted({key for record in records for key in record}))
+    writer.writeheader()
+    writer.writerows(records)
+    return out.getvalue().encode("utf-8")
+
+
+class TestMutatedBytes:
+    """The CSV knowledge base and the index blob's header, mutated byte by
+    byte, give a documented outcome."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_mutated_csv_kb_gives_documented_outcome(self, corpus, tmp_path, data):
+        kb = tmp_path / "kb.csv"
+        kb.write_bytes(data.draw(_byte_mutations(_kb_csv(corpus)), label="kb.csv"))
+        out_dir = tmp_path / "built"
+        shutil.rmtree(out_dir, ignore_errors=True)
+        _assert_documented_outcome(
+            run_command(["index", "build", "--kb", str(kb), "--out", str(out_dir)])
+        )
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_mutated_blob_header_gives_documented_outcome(self, corpus, tmp_path, data):
+        index_dir = tmp_path / "index"
+        shutil.copytree(corpus.index_dir, index_dir, dirs_exist_ok=True)
+        blob = (corpus.index_dir / "vectors.sfix").read_bytes()
+        mutated = data.draw(_byte_mutations(blob, end=16), label="vectors.sfix")
+        (index_dir / "vectors.sfix").write_bytes(mutated)
+        descriptions = tmp_path / "descriptions.json"
+        # Two descriptions keep each extract short.
+        cases = json.loads(corpus.descriptions_path.read_text(encoding="utf-8"))[:2]
+        descriptions.write_text(json.dumps(cases), encoding="utf-8")
+        args = [*_extract_args(corpus), "--input", str(descriptions), "--index", str(index_dir)]
+        outcome = run_command(args)
+        _assert_documented_outcome(outcome)
+        if outcome.exit_code == EXIT_USAGE:
+            assert outcome.stderr.startswith(f"error: {index_dir}"), outcome.stderr
+
+
+def _with_line_end(tree, line_end):
+    """Rewrite every text file under `tree` with `line_end` for each LF."""
+    for path in tree.rglob("*"):
+        if path.suffix in (".json", ".txt"):
+            data = path.read_bytes()
+            assert b"\r" not in data, path
+            path.write_bytes(data.replace(b"\n", line_end.encode()))
+
+
+class TestLineEnds:
+    """Text inputs read the same whatever their line ends: CRLF and a lone
+    CR as LF, except in a CSV cell, which keeps the file's own."""
+
+    @pytest.mark.parametrize("line_end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_corpus_extracts_to_the_golden(self, corpus, tmp_path, request, line_end):
+        twin = tmp_path / "twin"
+        shutil.copytree(corpus.root, twin, ignore=shutil.ignore_patterns("index"))
+        _with_line_end(twin, line_end)
+        indexes = {}
+        for name, kb in (("lf", corpus.kb_path), ("twin", twin / "kb.json")):
+            indexes[name] = tmp_path / f"index-{name}"
+            built = run_command(["index", "build", "--kb", str(kb), "--out", str(indexes[name])])
+            assert built.exit_code == EXIT_OK, built.stderr
+        for filename in ("vectors.sfix", "manifest.json"):
+            lf_bytes = (indexes["lf"] / filename).read_bytes()
+            assert (indexes["twin"] / filename).read_bytes() == lf_bytes
+        _with_line_end(indexes["twin"], line_end)
+
+        outcomes = {}
+        for name, root in (("lf", corpus.root), ("twin", twin)):
+            outcomes[name] = run_command([
+                "extract",
+                "--input", str(root / "descriptions.json"),
+                "--config", str(root / "config.json"),
+                "--index", str(indexes[name]),
+                "--runs-out", str(tmp_path / f"{name}.run"),
+            ])
+        golden = request.path.parent / "data" / "extract_golden.json"
+        assert outcomes["twin"].exit_code == EXIT_OK, outcomes["twin"].stderr
+        assert outcomes["twin"].stdout == golden.read_text(encoding="utf-8")
+        assert (tmp_path / "twin.run").read_bytes() == (tmp_path / "lf.run").read_bytes()
+
+    @pytest.mark.parametrize("line_end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_malformed_config_error_points_to_the_same_char(self, tmp_path, line_end):
+        text = '{\n  "min_quorum": 1,\n  "roster": [\n    {"model_id": "a",,}\n  ]\n}\n'
+        errors = {}
+        for name, ends in (("lf", "\n"), ("twin", line_end)):
+            config_path = tmp_path / name / "config.json"
+            config_path.parent.mkdir()
+            config_path.write_bytes(text.replace("\n", ends).encode())
+            outcome = run_command(["config", "check", "--config", str(config_path)])
+            assert outcome.exit_code == EXIT_USAGE
+            errors[name] = outcome.stderr.replace(str(config_path), "<config>")
+        with pytest.raises(json.JSONDecodeError, match="line 4 column 22") as lf_error:
+            json.loads(text)
+        assert errors["lf"] == f"error: <config>: invalid JSON: {lf_error.value}\n"
+        assert errors["twin"] == errors["lf"]
 
 
 # Text no JSON loader can decode: cut off, nested past the recursion limit,

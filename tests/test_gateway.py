@@ -193,9 +193,8 @@ class TestFixtureReads:
         with pytest.raises(UnicodeDecodeError) as text_mode:
             path.read_text(encoding="utf-8")
         outcome = invoke(_replay_config(fixtures_dir), REQUEST)
-        assert outcome.failure == Failure(
-            FAIL_TRANSPORT, f"unexpected backend error: {text_mode.value}"
-        )
+        assert outcome.failure == Failure(FAIL_TRANSPORT, f"{path}: {text_mode.value}")
+        assert outcome.attempt_count == 1
 
 
 class _FlakyBackend:

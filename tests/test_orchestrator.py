@@ -9,6 +9,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from functools import partial
+from unittest import mock
 
 import pytest
 from conftest import JSON_VALUES, finishes_within
@@ -821,17 +822,19 @@ class TestBatchExecutors:
         ],
         ids=["bound_backend", "bound_sleep", "fake", "wrapper"],
     )
-    def test_any_other_invoke_keeps_the_pools(self, invoke_fn):
+    def test_any_other_invoke_keeps_the_pools(self, invoke_fn, monkeypatch):
         config = _config()
         for width in (1, 3):
-            with batch_executors(config, invoke_fn, width) as (descriptions, calls):
+            monkeypatch.setattr(orchestrator, "BATCH_WIDTH", width)
+            with batch_executors(config, invoke_fn) as (descriptions, calls):
                 assert threading.current_thread() not in _threads_of(descriptions)
                 assert threading.current_thread() not in _threads_of(calls)
                 assert descriptions._max_workers == width
                 assert calls._max_workers == width * len(config.roster)
 
-    def test_pools_are_closed_on_exit(self):
-        with batch_executors(_config(), _echo_invoke(), 2) as (descriptions, calls):
+    def test_pools_are_closed_on_exit(self, monkeypatch):
+        monkeypatch.setattr(orchestrator, "BATCH_WIDTH", 2)
+        with batch_executors(_config(), _echo_invoke()) as (descriptions, calls):
             workers = _threads_of(descriptions) | _threads_of(calls)
         assert not any(worker.is_alive() for worker in workers)
 
@@ -974,8 +977,9 @@ class TestExecutionPaths:
             runs.append([run_one(d, executor=one_worker) for d in descriptions])
         runs.append([run_one(d) for d in descriptions])
         for width in (1, 8):
-            with batch_executors(config, invoke_fn, width) as (batch, pool):
-                runs.append(list(batch.map(partial(run_one, executor=pool), descriptions)))
+            with mock.patch.object(orchestrator, "BATCH_WIDTH", width):
+                with batch_executors(config, invoke_fn) as (batch, pool):
+                    runs.append(list(batch.map(partial(run_one, executor=pool), descriptions)))
 
         first = [result.to_json() for result in runs[0]]
         assert all([result.to_json() for result in run] == first for run in runs[1:])

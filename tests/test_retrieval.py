@@ -116,6 +116,31 @@ class TestIngestRecords:
         with pytest.raises(FormatError, match=re.escape(message)):
             ingest_records(kb)
 
+    def test_csv_byte_order_mark_is_dropped(self, tmp_path):
+        """A spreadsheet's "CSV UTF-8" export starts with one; it is not part
+        of the first column's name."""
+        kb = tmp_path / "kb.csv"
+        kb.write_bytes(b"\xef\xbb\xbfid,name,thread\nB1,hex bolt,M8\nB2,nut,M10\n")
+        records = ingest_records(kb)
+        assert [record.record_id for record in records] == ["B1", "B2"]
+        assert records[0].flat_text == "id: B1 | name: hex bolt | thread: M8"
+
+    def test_json_byte_order_mark_rejected(self, tmp_path):
+        kb = tmp_path / "kb.json"
+        kb.write_bytes(b'\xef\xbb\xbf[{"id": "B1"}]')
+        with pytest.raises(FormatError, match=rf"{re.escape(str(kb))}: invalid JSON: Unexpected"):
+            ingest_records(kb)
+
+    def test_csv_cells_keep_the_files_line_ends(self, tmp_path):
+        kb = tmp_path / "kb.csv"
+        kb.write_bytes(b'id,note\r\nB1,"two\r\nlines"\r\nB2,"lone\rcr"\nB3,"lf\nonly"\r\n')
+        records = ingest_records(kb)
+        assert [record.flat_text for record in records] == [
+            "id: B1 | note: two\r\nlines",
+            "id: B2 | note: lone\rcr",
+            "id: B3 | note: lf\nonly",
+        ]
+
     def test_missing_id_gets_ordinal(self, tmp_path):
         kb = tmp_path / "kb.csv"
         kb.write_text("name\nbolt\nnut\n", encoding="utf-8")
