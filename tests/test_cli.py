@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import gc
 import io
 import json
 import math
@@ -894,6 +895,97 @@ def test_joined_rendering_equals_one_dump(documents, entries, system_id):
     run_file = cli._join_run_file(system_id, [json.dumps(e, sort_keys=True) for e in entries])
     expected = {"system_id": system_id, "descriptions": entries}
     assert run_file == json.dumps(expected, sort_keys=True) + "\n"
+
+
+# Any text, lone surrogates included: json escapes them as `\udxxx`.
+_ANY_TEXT = st.text(st.characters(exclude_categories=()) | st.characters(categories=["Cs"]))
+# Every value `_indented` encodes itself, at its edges.
+_ENCODABLE = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324])
+    | _ANY_TEXT,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(_ANY_TEXT, children),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=100)
+@given(_ENCODABLE, st.sampled_from(["", "  "]))
+@example(value={"": [], "b": {}, "a": ()}, margin="  ")
+@example(value=[-0.0, 10**30, -(2**63), "\ud800\x7f\u00e9"], margin="")
+def test_indented_equals_json_dumps(value, margin):
+    """At both levels the CLI writes: the eval report and a stdout document."""
+    expected = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + margin)
+    assert cli._indented(value, margin) == expected
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {3: "a", 2.5: None, 1: [{"b": 2}]},
+        {"outer": Counter(b=1, a=2)},
+        [re.RegexFlag.IGNORECASE, True],
+    ],
+    ids=["non_string_keys", "dict_subclass", "int_subclass"],
+)
+def test_indented_hands_other_values_to_json(value):
+    expected = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+    assert cli._indented(value) == expected
+
+
+@pytest.mark.parametrize("value", [{"a": object()}, {"a": 1, 2: "b"}])
+def test_indented_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        cli._indented(value)
+
+
+class TestScript:
+    def test_freezes_after_main_and_exits_with_its_code(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or EXIT_RUNTIME)
+        # The real freeze must not run in this process.
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as exited:
+            cli.script()
+        assert exited.value.code == EXIT_RUNTIME
+        assert calls == ["main", "freeze"]
+
+    @pytest.mark.parametrize(
+        "case, code",
+        [("ok", EXIT_OK), ("every_quorum_missed", EXIT_RUNTIME), ("usage_error", EXIT_USAGE)],
+    )
+    def test_module_run_reads_as_run_command(self, corpus, case, code):
+        """`python -m partspec.cli` writes what `run_command` returns."""
+        argv = {
+            "ok": _extract_args(corpus),
+            "every_quorum_missed": [
+                "extract",
+                "--input", str(corpus.descriptions_path),
+                "--config", str(corpus.empty_config_path),
+                "--index", str(corpus.index_dir),
+            ],
+            "usage_error": ["extract", "--input", str(corpus.descriptions_path)],
+        }[case]
+        done = subprocess.run(
+            [sys.executable, "-m", "partspec.cli", *argv],
+            env=_subprocess_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        outcome = run_command(argv)
+        assert outcome.exit_code == code
+        assert (done.returncode, done.stdout, done.stderr) == (
+            outcome.exit_code,
+            outcome.stdout,
+            outcome.stderr,
+        )
 
 
 class TestStartup:
