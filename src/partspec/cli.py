@@ -249,14 +249,11 @@ def _indented(document: Any, margin: str = "  ") -> str:
     """`json.dumps(document, indent=2, sort_keys=True)` with `margin` after
     each line break: by default, the document as it reads one level into a
     list. CPython encodes `indent=2` in pure Python; this encoder writes the
-    same bytes in well under half the time. A document holding anything but
-    dicts with string keys, lists, tuples, strings, ints, floats, booleans
-    and None is handed to `json.dumps` whole, so the text is always json's."""
+    same bytes in well under half the time. It encodes dicts with string
+    keys, lists, tuples, strings, ints, floats, booleans and None, the
+    values every `to_dict` builds, and raises TypeError on anything else."""
     parts: list[str] = []
-    try:
-        _encode(document, "\n" + margin, parts)
-    except TypeError:
-        return json.dumps(document, indent=2, sort_keys=True).replace("\n", "\n" + margin)
+    _encode(document, "\n" + margin, parts)
     return "".join(parts)
 
 
@@ -267,7 +264,7 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _encode(value: Any, newline: str, parts: list[str]) -> None:
     """Append `value`'s fragments to `parts`, each line break written as
-    `newline`; raises TypeError on anything `_indented` does not encode."""
+    `newline`."""
     kind = type(value)
     if kind is str:
         parts.append(_encode_string(value))
@@ -279,7 +276,7 @@ def _encode(value: Any, newline: str, parts: list[str]) -> None:
         parts.append("{")
         for key in sorted(value):
             if type(key) is not str:
-                raise TypeError
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
             parts.append(f"{inner}{_encode_string(key)}: ")
             _encode(value[key], inner, parts)
             parts.append(",")
@@ -307,7 +304,7 @@ def _encode(value: Any, newline: str, parts: list[str]) -> None:
     elif value is False:
         parts.append("false")
     else:
-        raise TypeError
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _join_documents(documents: Sequence[str]) -> str:

@@ -926,22 +926,15 @@ def test_indented_equals_json_dumps(value, margin):
 
 
 @pytest.mark.parametrize(
-    "value",
+    ("value", "message"),
     [
-        {3: "a", 2.5: None, 1: [{"b": 2}]},
-        {"outer": Counter(b=1, a=2)},
-        [re.RegexFlag.IGNORECASE, True],
+        ({"a": [object()]}, "Object of type object is not JSON serializable"),
+        ({"a": {3: "b"}}, "keys must be str, not int"),
     ],
-    ids=["non_string_keys", "dict_subclass", "int_subclass"],
+    ids=["unknown_type", "non_string_key"],
 )
-def test_indented_hands_other_values_to_json(value):
-    expected = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
-    assert cli._indented(value) == expected
-
-
-@pytest.mark.parametrize("value", [{"a": object()}, {"a": 1, 2: "b"}])
-def test_indented_refuses_what_json_refuses(value):
-    with pytest.raises(TypeError):
+def test_indented_refuses_what_it_does_not_encode(value, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
         cli._indented(value)
 
 
