@@ -35,6 +35,7 @@ from .core import (
     decode_json,
     json_value,
     read_text_file,
+    text_mode_line_ends,
 )
 from .gateway import invoke
 from .metrics import GroundTruthManifest, evaluate_run, load_runs_dir
@@ -499,8 +500,9 @@ def _read_descriptions(source: str, stdin: TextIO) -> list[PartDescription]:
             seen.add(description_id)
             descriptions.append(PartDescription(description_id, item_text, category or None))
     else:
-        # As utf-8-sig would, drop a byte order mark; str.strip() keeps it.
-        stripped = (line.strip() for line in text.removeprefix("\ufeff").splitlines())
+        # strip() keeps a byte order mark (utf-8-sig drops it); splitlines() also splits at U+2028.
+        text = text_mode_line_ends(text.removeprefix("\ufeff"))
+        stripped = (line.strip() for line in text.split("\n"))
         for position, line in enumerate((line for line in stripped if line), start=1):
             check_utf8(line, f"input line {position}: text")
             descriptions.append(PartDescription(f"line-{position}", line))

@@ -45,6 +45,7 @@ __all__ = [
     "render_nested_value",
     "validate_spec_document",
     "decode_json",
+    "text_mode_line_ends",
     "JsonKind",
     "json_value",
     "read_text_file",
@@ -71,6 +72,11 @@ _NAME_SEPARATORS = re.compile(r"[\s\-]")
 _NAME_STRIP = re.compile(r"[^a-z0-9_]")
 
 
+def text_mode_line_ends(text: str) -> str:
+    """`text` as a text-mode read gives it: CRLF and a lone CR read as LF."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def decode_json(
     text: str, source: str | Path, error: Callable[[str], Exception] = ValueError
 ) -> Any:
@@ -79,11 +85,8 @@ def decode_json(
     Text that is not JSON, nests too deeply to decode or holds an integer
     too long to convert, raises `error` with a message that names `source`.
     """
-    # CRLF and a lone CR as LF, as a text-mode read gives them, so error positions match it.
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        return json.loads(text)
+        return json.loads(text_mode_line_ends(text))  # error positions as a text-mode read
     except (ValueError, RecursionError) as exc:
         raise error(f"{source}: invalid JSON: {exc}") from None
 

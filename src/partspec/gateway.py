@@ -37,6 +37,7 @@ from .core import (
     ProviderResponse,
     SpecSchema,
     read_text_file,
+    text_mode_line_ends,
     validate_spec_document,
 )
 
@@ -185,7 +186,17 @@ def fixture_key(model_id: str, user_text: str) -> str:
 
 
 def fixture_path(fixtures_dir: str | Path, model_id: str, user_text: str) -> Path:
-    return Path(fixtures_dir) / model_id / f"{fixture_key(model_id, user_text)}.txt"
+    return Path(_fixture_file(os.fspath(fixtures_dir), model_id, user_text))
+
+
+def _fixture_file(fixtures_dir: str, model_id: str, user_text: str) -> str:
+    """fixtures_dir/model_id/<fixture_key>.txt; a str, as a Path per replay call costs more."""
+    return f"{_fixture_prefix(fixtures_dir, model_id)}{fixture_key(model_id, user_text)}.txt"
+
+
+@functools.lru_cache(maxsize=64)
+def _fixture_prefix(fixtures_dir: str, model_id: str) -> str:
+    return os.path.join(Path(fixtures_dir, model_id), "")
 
 
 @dataclass(frozen=True)
@@ -195,24 +206,15 @@ class ReplayBackend:
     config: ProviderConfig
 
     def complete(self, request: PromptRequest) -> str:
-        fixtures_dir, model_id = self.config.fixtures_dir, self.config.model_id
+        fixtures_dir = self.config.fixtures_dir
         assert fixtures_dir is not None
-        key = fixture_key(model_id, request.user_text)
-        path = f"{_fixture_prefix(fixtures_dir, model_id)}{key}.txt"
+        path = _fixture_file(fixtures_dir, self.config.model_id, request.user_text)
         try:
             text = read_text_file(path, functools.partial(BackendError, FAIL_TRANSPORT))
         except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
             # A missing fixture will stay missing; retrying would only waste time.
             raise BackendError(FAIL_TRANSPORT, f"no fixture at {path}") from None
-        # Line ends as a text-mode read gives them: CRLF and a lone CR read as LF.
-        return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
-
-
-@functools.lru_cache(maxsize=64)
-def _fixture_prefix(fixtures_dir: str, model_id: str) -> str:
-    """`fixture_path` up to the key, as a string: the fixture for a prompt is
-    this plus `fixture_key` plus ".txt"."""
-    return os.path.join(Path(fixtures_dir, model_id), "")
+        return text_mode_line_ends(text)
 
 
 class HttpBackend:

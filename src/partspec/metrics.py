@@ -254,8 +254,7 @@ def evaluate_run(
         ics_values: list[float] = []
         tdi_values: list[float] = []
         idr_values: list[float] = []
-        valid = 0
-        total = 0
+        outputs: list[ExtractionResult] = []
         extraneous = 0
         attribute_count = 0
         for description in run.descriptions:
@@ -279,8 +278,7 @@ def evaluate_run(
                 if name not in entry.expected_fields and name in entry.allowed_attributes
             )
             tdi_values.append(tdi([depth], entry.detail_max))
-            valid += sum(1 for output in description.outputs if output.schema_valid)
-            total += len(description.outputs)
+            outputs += description.outputs
             first_phase = [
                 output.field_names()
                 for output in description.outputs
@@ -297,7 +295,7 @@ def evaluate_run(
                 system_id=run.system_id,
                 ics=sum(ics_values) / len(ics_values),
                 tdi=sum(tdi_values) / len(tdi_values),
-                sdq=valid / total if total else 0.0,
+                sdq=sdq(outputs) if outputs else 0.0,
                 idr=sum(idr_values) / len(idr_values) if idr_values else 0.0,
                 ara=extraneous / attribute_count if attribute_count else 0.0,
             )

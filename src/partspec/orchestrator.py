@@ -132,12 +132,6 @@ class EnsembleConfig:
         object.__setattr__(self, "confidence_weights", weights)
         object.__setattr__(self, "research_models", research)
 
-    def provider(self, model_id: str) -> ProviderConfig | None:
-        for provider in self.roster:
-            if provider.model_id == model_id:
-                return provider
-        return None
-
     def roster_order(self) -> tuple[str, ...]:
         return tuple(provider.model_id for provider in self.roster)
 
@@ -196,8 +190,9 @@ _FIELD_KINDS = {
 def _json_kwargs(cls: type, data: Any, what: str) -> dict[str, Any]:
     """Constructor arguments for config dataclass `cls` from a JSON object.
 
-    The accepted keys are the dataclass fields; absent keys keep the field
-    default, so every default and check lives on the dataclass alone.
+    The accepted keys are the dataclass fields; an absent key keeps its
+    default. JSON kinds are checked here, by annotation via `_FIELD_KINDS`;
+    ranges and checks across fields are in the dataclass's `__post_init__`.
     """
     if not isinstance(data, Mapping):
         raise ConfigError(f"{what} must be a JSON object")

@@ -331,7 +331,7 @@ def _consistency_pass(
     if invoke_fn is None or not resolved:
         return resolved, "skipped"
     # EnsembleConfig guarantees the synthesis model is in the roster.
-    provider = config.provider(config.synthesis_model)
+    provider = next(p for p in config.roster if p.model_id == config.synthesis_model)
 
     draft_lines = [f"{name}: {resolved[name].value}" for name in sorted(resolved)]
     request = PromptRequest(

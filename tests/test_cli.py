@@ -37,6 +37,14 @@ from partspec.orchestrator import EnsembleConfig, run_pipeline
 from partspec.retrieval import FlatIndex
 
 
+# Characters str.splitlines() breaks at that a text-mode read keeps inside a line.
+_NOT_LINE_ENDS = pytest.mark.parametrize(
+    "separator",
+    ["\u2028", "\u2029", "\x85", "\x0c", "\x0b", "\x1c", "\x1d", "\x1e"],
+    ids=lambda separator: f"U+{ord(separator):04X}",
+)
+
+
 def _extract_args(corpus, *extra):
     return [
         "extract",
@@ -186,16 +194,16 @@ class TestExtract:
         assert len(json.loads(out_path.read_text(encoding="utf-8"))) == 24
         assert load_system_run(run_path).descriptions
 
-    def test_stdin_text_lines(self, corpus):
+    @_NOT_LINE_ENDS
+    def test_stdin_text_lines(self, corpus, separator):
         text = corpus.cases[0].text
         outcome = run_command(
             _extract_args(corpus)[:2] + ["-"] + _extract_args(corpus)[3:],
-            stdin=io.StringIO(text + "\n"),
+            stdin=io.StringIO(f"{text}\nM8 hex bolt{separator}zinc plated\n"),
         )
         assert outcome.exit_code == EXIT_OK
         documents = json.loads(outcome.stdout)
-        assert len(documents) == 1
-        assert documents[0]["description_id"] == "line-1"
+        assert [d["description_id"] for d in documents] == ["line-1", "line-2"]
         assert documents[0]["fields"]["part_name"]["value"] == corpus.cases[0].part_name
 
     def test_stdin_line_with_lone_surrogate_is_usage_error(self, corpus):
@@ -208,17 +216,22 @@ class TestExtract:
         assert "input line 2: text cannot be encoded as UTF-8" in outcome.stderr
         assert outcome.stdout == ""
 
-    def test_text_file_input(self, corpus, tmp_path):
+    @_NOT_LINE_ENDS
+    def test_text_file_input(self, corpus, tmp_path, separator):
         listing = tmp_path / "parts.txt"
         listing.write_text(
-            corpus.cases[0].text + "\n\n" + corpus.cases[1].text + "\n", encoding="utf-8"
+            f"{corpus.cases[0].text}\n\n{corpus.cases[1].text}\r\n"
+            f"M8 hex bolt{separator}zinc plated\r",
+            encoding="utf-8",
+            newline="",
         )
         outcome = run_command(
             _extract_args(corpus)[:2] + [str(listing)] + _extract_args(corpus)[3:]
         )
         assert outcome.exit_code == EXIT_OK
         documents = json.loads(outcome.stdout)
-        assert [d["description_id"] for d in documents] == ["line-1", "line-2"]
+        assert [d["description_id"] for d in documents] == ["line-1", "line-2", "line-3"]
+        assert documents[1]["fields"]["part_name"]["value"] == corpus.cases[1].part_name
 
     def test_text_file_after_byte_order_mark_reads_as_without(self, corpus, tmp_path):
         outputs = []
@@ -982,7 +995,9 @@ class TestScript:
 
 
 class TestStartup:
-    def test_requests_loaded_only_for_http_calls(self, corpus, tmp_path, keepalive_server):
+    def test_http_client_loaded_only_for_http_calls_and_requests_never(
+        self, corpus, tmp_path, keepalive_server
+    ):
         script = """
 import json
 import sys

@@ -182,6 +182,10 @@ class TestSpecSchema:
         with pytest.raises(ValueError, match="not canonical"):
             SpecSchema(required_fields=("Part Name",))
 
+    def test_rejects_non_canonical_kind_names(self):
+        with pytest.raises(ValueError, match="schema field 'Bore Size' is not canonical"):
+            SpecSchema(required_fields=("part_name",), field_kinds={"Bore Size": "scalar-text"})
+
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
             SpecSchema(required_fields=("part_name", "part_name"))

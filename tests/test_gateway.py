@@ -451,6 +451,15 @@ class TestHttpBackend:
         assert outcome.attempt_count == 1
         assert keepalive_server.connections == 2
 
+    def test_endpoint_query_string_kept_in_target(self, keepalive_server, pool, monkeypatch):
+        _clear_proxy_env(monkeypatch)
+        config = _http_config(f"{keepalive_server.url}?api-version=2024-06-01")
+        backend = HttpBackend(config, connections=pool)
+        outcome = invoke(config, REQUEST, backend=backend, sleep=lambda s: None)
+        assert outcome.failure is None
+        [(target, _headers)] = keepalive_server.received
+        assert target == "/v1/chat/completions?api-version=2024-06-01"
+
     def test_http_proxy_from_environment(self, keepalive_server, pool, monkeypatch):
         _clear_proxy_env(monkeypatch)
         proxy = urlsplit(keepalive_server.url)

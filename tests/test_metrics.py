@@ -322,6 +322,12 @@ class TestEvaluateRun:
         # The research output's extra field would raise divergence above zero.
         assert reports[0].idr == 0.0
 
+    def test_descriptions_without_outputs_score_zero_quality_and_relevance(self):
+        run = SystemRun("sys-a", (DescriptionRun("d1", ()), DescriptionRun("d2", ())))
+        [report], _ = evaluate_run([run], _manifest())
+        # No output to judge and no attribute to weigh: 0.0, not a division by zero.
+        assert (report.ics, report.sdq, report.idr, report.ara) == (0.0, 0.0, 0.0, 0.0)
+
     def test_single_valid_output_scores_zero_divergence(self):
         run = SystemRun(
             "sys-a",

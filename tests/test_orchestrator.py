@@ -204,6 +204,10 @@ class TestEnsembleConfig:
         with pytest.raises(ConfigError, match="lacks the research role"):
             _config(research_models=("alpha",))
 
+    def test_research_model_must_exist(self):
+        with pytest.raises(ConfigError, match="research model 'ghost' is not in the roster"):
+            _config(research_models=("ghost",))
+
     def test_min_quorum_bounds(self):
         with pytest.raises(ConfigError, match="min_quorum"):
             _config(min_quorum=0)
@@ -293,6 +297,10 @@ class TestEnsembleConfig:
             (None, "synthesis_model", ["synth-1"]),
             (None, "research_models", [["delta"]]),
             (0, "kind", ["replay_fixture"]),
+            (0, "model_id", ""),
+            (0, "max_retries", -1),
+            (None, "k", -1),
+            (None, "gap_confidence_floor", 1.5),
         ],
         ids=[
             "fixtures_dir_not_string",
@@ -315,6 +323,10 @@ class TestEnsembleConfig:
             "list_synthesis_model",
             "list_in_research_models",
             "list_provider_kind",
+            "empty_model_id",
+            "negative_max_retries",
+            "negative_k",
+            "gap_confidence_floor_above_one",
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, entry, key, value):

@@ -547,6 +547,16 @@ class TestPersistence:
         with pytest.raises(ValueError, match=re.escape(message)):
             FlatIndex.load(tmp_path)
 
+    def test_unknown_embedder_kind_rejected(self, tmp_path):
+        FlatIndex.build(_corpus(2), HashTrigramEmbedder(16)).save(tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["embedder"]["kind"] = "sentence_transformer"
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        message = f"{tmp_path}: manifest names unknown embedder kind 'sentence_transformer'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FlatIndex.load(tmp_path)
+
     def test_lone_surrogate_flat_text_rejected(self, tmp_path):
         FlatIndex.build(_corpus(2), HashTrigramEmbedder(16)).save(tmp_path)
         manifest_path = tmp_path / "manifest.json"
