@@ -38,7 +38,6 @@ from .core import (
     text_mode_line_ends,
 )
 from .gateway import invoke
-from .metrics import GroundTruthManifest, evaluate_run, load_runs_dir
 from .orchestrator import EnsembleConfig, PipelineResult, batch_executors, calls_wait, run_pipeline
 from .retrieval import DEFAULT_DIMENSION, FlatIndex, HashTrigramEmbedder, ingest_records
 
@@ -518,6 +517,8 @@ def _cmd_eval(
     env: Mapping[str, str],
     stdin: TextIO,
 ) -> int:
+    from .metrics import GroundTruthManifest, evaluate_run, load_runs_dir  # eval alone scores
+
     manifest = GroundTruthManifest.from_file(args.manifest)
     runs = load_runs_dir(args.runs)
     reports, table = evaluate_run(runs, manifest)

@@ -126,6 +126,8 @@ class ProviderConfig:
             raise ValueError("timeout must be positive and finite")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if isinstance(self.role_tags, str):  # else read as a set of letters
+            raise ValueError(f"role_tags must be an array of strings, got {self.role_tags!r}")
         unknown = set(self.role_tags) - ROLE_TAGS
         if unknown:
             raise ValueError(f"unknown role tags: {sorted(unknown)}")

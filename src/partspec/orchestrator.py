@@ -255,7 +255,8 @@ class PipelineResult:
 
     def to_json(self) -> str:
         """The run-file entry as the run file encodes it."""
-        return json.dumps(self.to_dict(), sort_keys=True)
+        # Built from dataclasses and parsed JSON, the entry holds no cycle.
+        return json.dumps(self.to_dict(), sort_keys=True, check_circular=False)
 
 
 def build_prompt(

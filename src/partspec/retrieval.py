@@ -7,10 +7,10 @@ single-writer; a built index is immutable and safe for concurrent readers.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import logging
+import math
 import struct
 import zlib
 from collections.abc import Mapping, Sequence
@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 DEFAULT_DIMENSION = 384
+
+# Texts `FlatIndex.build` embeds at once: enough to spread numpy's per-call
+# cost thin, few enough that a block's counts take a few megabytes.
+_BLOCK_ROWS = 1024
 
 INDEX_MAGIC = b"SFIX"
 INDEX_VERSION = 1
@@ -166,6 +170,8 @@ def ingest_records(path: str | Path, format: str | None = None) -> list[PartReco
 
 
 def _read_csv_rows(path: Path) -> list[tuple[int, dict[str, Any]]]:
+    import csv  # only CSV knowledge bases need it
+
     # As utf-8-sig would, drop a byte order mark; newline="" gives cells the
     # file's own line ends, as the csv module asks.
     text = read_text_file(path, FormatError).removeprefix("\ufeff")
@@ -250,21 +256,88 @@ class HashTrigramEmbedder:
         counts /= np.linalg.norm(counts)
         return counts.astype(np.float32)
 
+    def embed_block(self, texts: Sequence[str]) -> np.ndarray:
+        """The vectors `embed` gives for `texts`, bit for bit, as the rows of
+        one float32 matrix.
+
+        Non-empty ASCII texts are hashed together: their padded bytes are
+        packed into one buffer, three table rounds give every trigram's
+        CRC-32 at once, and one bincount counts the buckets of every row.
+        Other texts go through `embed` one by one.
+        """
+        dimension = self.dimension
+        rows = np.empty((len(texts), dimension), dtype=np.float32)
+        packed: list[int] = []
+        for row, text in enumerate(texts):
+            if text and text.isascii():
+                packed.append(row)
+            else:
+                rows[row] = self.embed(text)
+        if not packed:
+            return rows
+        padded = [f"##{texts[row]}##" for row in packed]
+        buffer = np.frombuffer("".join(padded).encode("ascii"), dtype=np.uint8)
+        lengths = np.fromiter(map(len, padded), dtype=np.intp, count=len(padded))
+        windows = len(buffer) - 2
+        crc = np.full(windows, 0xFFFFFFFF, dtype=np.uint32)  # zlib's start, and final xor
+        for offset in range(3):
+            index = crc.astype(np.uint8)
+            index ^= buffer[offset : offset + windows]
+            crc >>= 8
+            crc ^= _CRC32_TABLE.take(index)
+        crc ^= 0xFFFFFFFF
+        # A window starting in a text's last two bytes runs into the next text.
+        ends = np.cumsum(lengths)
+        inside = np.ones(len(buffer), dtype=bool)
+        inside[ends - 1] = inside[ends - 2] = False
+        buckets = crc[inside[:windows]]
+        buckets %= dimension
+        keys = np.repeat(np.arange(len(packed)) * dimension, lengths - 2)
+        keys += buckets
+        counts = np.bincount(keys, minlength=len(packed) * dimension)
+        counts = counts.reshape(len(packed), dimension)
+        # Squares of integer counts sum exactly in any order, so each norm is
+        # the one `embed` takes.
+        norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
+        rows[packed] = counts / norms[:, np.newaxis]
+        return rows
+
     def spec(self) -> dict[str, Any]:
         return {"kind": "hash_trigram", "dimension": self.dimension}
 
 
 def embed_text(text: str, embedder: Embedder) -> np.ndarray:
     """Embed text into a unit-norm float32 vector of the embedder's dimension."""
-    vector = np.asarray(embedder.embed(text), dtype=np.float64)
+    vector = np.array(embedder.embed(text), dtype=np.float64)
     if vector.ndim != 1 or vector.shape[0] != embedder.dimension:
         raise ValueError(
             f"embedder produced shape {vector.shape}, expected ({embedder.dimension},)"
         )
-    norm = np.linalg.norm(vector)
-    if norm == 0.0 or not np.isfinite(norm):
+    return _unit_float32(vector)
+
+
+def _unit_float32(vector: np.ndarray) -> np.ndarray:
+    """A fresh contiguous float64 vector over its L2 norm, as float32.
+
+    The norm is the one `np.linalg.norm` takes, `sqrt(x.dot(x))`. The last
+    bit of a `dot` can depend on the order it sums in, so index build and
+    search both scale every vector here, one at a time.
+    """
+    norm = math.sqrt(vector.dot(vector))
+    if not 0.0 < norm < math.inf:
         raise ValueError("embedder produced a zero or non-finite vector")
     return (vector / norm).astype(np.float32)
+
+
+def _crc32_table() -> np.ndarray:
+    """The byte table of the CRC-32 `zlib.crc32` computes (reflected 0xEDB88320)."""
+    table = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        table = np.where(table & 1, (table >> 1) ^ np.uint32(0xEDB88320), table >> 1)
+    return table
+
+
+_CRC32_TABLE = _crc32_table()
 
 
 class FlatIndex:
@@ -300,15 +373,27 @@ class FlatIndex:
 
     @classmethod
     def build(cls, records: Sequence[PartRecord], embedder: Embedder) -> FlatIndex:
-        """Embed every record's flat text and freeze the result."""
-        if records:
-            matrix = np.stack([embed_text(record.flat_text, embedder) for record in records])
+        """Embed every record's flat text and freeze the result.
+
+        Row i holds `embed_text(records[i].flat_text, embedder)`. A
+        `HashTrigramEmbedder` that keeps its own `embed` embeds in blocks.
+        """
+        texts = [record.flat_text for record in records]
+        matrix = np.empty((len(texts), embedder.dimension), dtype=np.float32)
+        if isinstance(embedder, HashTrigramEmbedder) and (
+            type(embedder).embed is HashTrigramEmbedder.embed
+        ):
+            for first in range(0, len(texts), _BLOCK_ROWS):
+                block = embedder.embed_block(texts[first : first + _BLOCK_ROWS])
+                for row, vector in enumerate(block, first):
+                    matrix[row] = _unit_float32(vector.astype(np.float64))
         else:
-            matrix = np.empty((0, embedder.dimension), dtype=np.float32)
+            for row, text in enumerate(texts):
+                matrix[row] = embed_text(text, embedder)
         return cls(
             matrix,
             [record.record_id for record in records],
-            [record.flat_text for record in records],
+            texts,
             [record.source for record in records],
             embedder,
         )

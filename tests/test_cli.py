@@ -1035,6 +1035,43 @@ sys.exit(built.exit_code or extracted.exit_code or live.exit_code)
         )
         assert done.returncode == 0, done.stderr
 
+    def test_eval_code_and_csv_stay_unloaded_outside_eval(self, corpus, tmp_path):
+        script = """
+import sys
+from partspec.cli import run_command
+
+def check(step):
+    loaded = [module for module in ("partspec.metrics", "csv") if module in sys.modules]
+    if loaded:
+        sys.exit(f"{step} imported {loaded}")
+
+check("import partspec.cli")
+kb, index, descriptions, config = sys.argv[1:]
+built = run_command(["index", "build", "--kb", kb, "--out", index])
+check("index build")
+extracted = run_command(
+    ["extract", "--input", descriptions, "--config", config, "--index", index]
+)
+check("extract")
+import partspec
+
+for name in partspec.__all__:
+    exec(f"from partspec import {name}")
+sys.exit(built.exit_code or extracted.exit_code)
+"""
+        argv = [
+            str(corpus.kb_path), str(tmp_path / "index"),
+            str(corpus.descriptions_path), str(corpus.config_path),
+        ]
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=_subprocess_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
 
 class TestModuleEntryPoint:
     def test_warnings_name_their_logger(self, corpus, tmp_path):

@@ -90,6 +90,12 @@ class TestProviderConfig:
                 model_id="m", kind=KIND_REPLAY, fixtures_dir="f", role_tags=frozenset({"pilot"})
             )
 
+    def test_bare_string_role_tags_rejected_as_in_a_config_file(self):
+        # Not read as the set of its letters.
+        with pytest.raises(ValueError) as refused:
+            ProviderConfig(model_id="m", kind=KIND_REPLAY, fixtures_dir="f", role_tags="extraction")
+        assert str(refused.value) == "role_tags must be an array of strings, got 'extraction'"
+
     def test_nonpositive_timeout_rejected(self):
         with pytest.raises(ValueError, match="timeout"):
             ProviderConfig(model_id="m", kind=KIND_REPLAY, fixtures_dir="f", timeout=0)

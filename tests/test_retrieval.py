@@ -296,6 +296,51 @@ class TestEmbedText:
             embed_text("anything", _FixedEmbedder(4, [1.0, 0.0]))
 
 
+class _SuffixedEmbedder(HashTrigramEmbedder):
+    """Hashes as its base class does, but embeds other text."""
+
+    def embed(self, text):
+        return super().embed(text + "!")
+
+
+_ASCII = st.characters(max_codepoint=127)
+_BUILD_TEXTS = st.one_of(
+    st.just(""),
+    st.text(_ASCII, min_size=1, max_size=1),
+    st.text(_ASCII, min_size=2, max_size=40),
+    st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=40),
+    st.text(_ASCII, min_size=1, max_size=9).map(lambda text: text * 300),
+)
+
+
+class TestBlockBuild:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        texts=st.lists(_BUILD_TEXTS, min_size=1, max_size=12),
+        count=st.one_of(
+            st.integers(min_value=1, max_value=40),
+            st.sampled_from([1023, 1024, 1025, 2049]),
+        ),
+        dimension=st.one_of(st.integers(min_value=1, max_value=512), st.just(DEFAULT_DIMENSION)),
+        kind=st.sampled_from([HashTrigramEmbedder, _SuffixedEmbedder]),
+    )
+    @example(texts=["x"], count=1, dimension=1, kind=HashTrigramEmbedder)
+    @example(texts=["", "é", "hex bolt"], count=1025, dimension=384, kind=HashTrigramEmbedder)
+    def test_matrix_is_embed_text_of_each_record(self, texts, count, dimension, kind):
+        """Blocks of records, on both sides of the block size, hold the bytes
+        `embed_text` gives each record alone; an embedder that overrides
+        `embed` keeps its own vectors."""
+        records = [PartRecord(f"r{i}", texts[i % len(texts)], "s") for i in range(count)]
+        embedder = kind(dimension)
+        index = FlatIndex.build(records, embedder)
+        expected = np.stack([embed_text(record.flat_text, embedder) for record in records])
+        assert index._matrix.dtype == np.float32
+        assert index._matrix.tobytes() == expected.tobytes()
+        if kind is HashTrigramEmbedder:
+            rows = np.stack([embedder.embed(text) for text in texts])
+            assert embedder.embed_block(texts).tobytes() == rows.tobytes()
+
+
 def _corpus(count: int, seed: int = 7) -> list[PartRecord]:
     rng = random.Random(seed)
     nouns = ["bolt", "bearing", "motor", "valve", "sensor", "washer", "coupling", "gear"]
