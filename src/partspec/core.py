@@ -12,7 +12,7 @@ import os
 import re
 import sys
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Any
@@ -48,6 +48,7 @@ __all__ = [
     "text_mode_line_ends",
     "JsonKind",
     "json_value",
+    "check_field_kinds",
     "read_text_file",
     "read_json_file",
     "check_utf8",
@@ -98,8 +99,8 @@ def _is_number(value: Any) -> bool:
     )
 
 
-def _is_strings(value: Any) -> bool:
-    return isinstance(value, (list, tuple)) and all(isinstance(item, str) for item in value)
+def _is_strings(value: Any) -> bool:  # JSON yields no frozenset, Python config defaults do
+    return isinstance(value, (list, tuple, frozenset)) and all(isinstance(s, str) for s in value)
 
 
 class JsonKind:
@@ -136,6 +137,22 @@ def json_value(
     if not test(value):
         raise error(f"{key} must be {noun}, got {value!r}")
     return float(value) if kind is JsonKind.NUMBER else value
+
+
+_ANNOTATION_KINDS = {  # the JSON kind of a dataclass field, by its annotation string
+    "str": JsonKind.STRING, "str | None": JsonKind.OPTIONAL_STRING,
+    "int": JsonKind.INTEGER, "float": JsonKind.NUMBER,
+    "tuple[str, ...]": JsonKind.STRINGS, "frozenset[str]": JsonKind.STRINGS,
+}
+
+
+def check_field_kinds(record: Any, error: Callable[[str], Exception] = ValueError) -> None:
+    """Read each field of dataclass `record` by its annotation through `json_value`, in
+    declaration order, and store it back, a number as a float; `error` refuses a bad one."""
+    for declared in fields(record):
+        if kind := _ANNOTATION_KINDS.get(declared.type):
+            value = json_value(vars(record), declared.name, kind, error)
+            object.__setattr__(record, declared.name, value)
 
 
 def read_text_file(path: str | Path, error: Callable[[str], Exception] = ValueError) -> str:

@@ -36,6 +36,7 @@ from .core import (
     Failure,
     ProviderResponse,
     SpecSchema,
+    check_field_kinds,
     read_text_file,
     text_mode_line_ends,
     validate_spec_document,
@@ -105,29 +106,25 @@ class ProviderConfig:
     fixtures_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.model_id, str) or not self.model_id:
-            raise ValueError("model_id must be a non-empty string")
-        if self.kind not in PROVIDER_KINDS:
-            raise ValueError(f"unknown provider kind {self.kind!r}")
-        for name in ("endpoint", "fixtures_dir"):
-            if not isinstance(getattr(self, name), (str, type(None))):
-                raise ValueError(f"{name} must be a string")
         credentials_env = self.credentials_env
         if credentials_env is not None and not (
             isinstance(credentials_env, str) and _ENV_NAME.fullmatch(credentials_env)
         ):
-            # Refuse anything that is not an environment variable NAME: this is
-            # where a pasted literal API key would otherwise end up.
+            # Refuse anything that is not an environment variable NAME, before
+            # the kind check, which would show a pasted literal API key whole.
             raise ValueError(
                 f"credentials_env {str(credentials_env)[:8]!r}... must name an environment "
                 "variable; never put key material in a config file"
             )
+        check_field_kinds(self)
+        if not self.model_id:
+            raise ValueError("model_id must be a non-empty string")
+        if self.kind not in PROVIDER_KINDS:
+            raise ValueError(f"unknown provider kind {self.kind!r}")
         if not (math.isfinite(self.timeout) and self.timeout > 0):
             raise ValueError("timeout must be positive and finite")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if isinstance(self.role_tags, str):  # else read as a set of letters
-            raise ValueError(f"role_tags must be an array of strings, got {self.role_tags!r}")
         unknown = set(self.role_tags) - ROLE_TAGS
         if unknown:
             raise ValueError(f"unknown role tags: {sorted(unknown)}")

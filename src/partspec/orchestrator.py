@@ -27,6 +27,7 @@ from .core import (
     JsonKind,
     PartDescription,
     SpecSchema,
+    check_field_kinds,
     json_value,
     read_json_file,
 )
@@ -90,6 +91,7 @@ class EnsembleConfig:
     confidence_weights: tuple[float, float, float] = DEFAULT_CONFIDENCE_WEIGHTS
 
     def __post_init__(self) -> None:
+        check_field_kinds(self, ConfigError)
         if not self.roster:
             raise ConfigError("roster must be non-empty")
         ids = [provider.model_id for provider in self.roster]
@@ -160,7 +162,7 @@ class EnsembleConfig:
             for entry in roster:
                 provider = _json_kwargs(ProviderConfig, entry, "provider")
                 fixtures_dir = provider.get("fixtures_dir")
-                if fixtures_dir is not None and base_dir is not None:
+                if isinstance(fixtures_dir, str) and base_dir is not None:
                     # Joining keeps an absolute fixtures_dir as it is.
                     provider["fixtures_dir"] = str(Path(base_dir, fixtures_dir))
                 providers.append(ProviderConfig(**provider))
@@ -177,35 +179,19 @@ class EnsembleConfig:
         return cls.from_dict(read_json_file(path, ConfigError), base_dir=path.parent)
 
 
-# The JSON kind of a config field, by its annotation. The roster is read by
-# `from_dict`; `confidence_weights` and `credentials_env` are left to their
-# dataclass, whose message shows at most 8 characters of a pasted key.
-_FIELD_KINDS = {
-    "str": JsonKind.STRING, "str | None": JsonKind.OPTIONAL_STRING,
-    "int": JsonKind.INTEGER, "float": JsonKind.NUMBER,
-    "tuple[str, ...]": JsonKind.STRINGS, "frozenset[str]": JsonKind.STRINGS,
-}
-
-
 def _json_kwargs(cls: type, data: Any, what: str) -> dict[str, Any]:
     """Constructor arguments for config dataclass `cls` from a JSON object.
 
     The accepted keys are the dataclass fields; an absent key keeps its
-    default. JSON kinds are checked here, by annotation via `_FIELD_KINDS`;
-    ranges and checks across fields are in the dataclass's `__post_init__`.
+    default. Value kinds, ranges and checks across fields are in the
+    dataclass's `__post_init__`.
     """
     if not isinstance(data, Mapping):
         raise ConfigError(f"{what} must be a JSON object")
-    annotations = {f.name: f.type for f in fields(cls)}
-    unknown = set(data) - set(annotations)
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    kwargs = dict(data)
-    for name in data:
-        kind = _FIELD_KINDS.get(annotations[name])
-        if kind is not None and name != "credentials_env":
-            kwargs[name] = json_value(data, name, kind, ConfigError)
-    return kwargs
+    return dict(data)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import (
     JsonKind,
+    check_field_kinds,
     check_utf8,
     json_value,
     read_json_file,
@@ -233,6 +234,7 @@ class HashTrigramEmbedder:
     dimension: int = DEFAULT_DIMENSION
 
     def __post_init__(self) -> None:
+        check_field_kinds(self)
         if self.dimension < 1:
             raise ValueError(f"embedding dimension must be at least 1, got {self.dimension}")
 
@@ -457,9 +459,9 @@ class FlatIndex:
                 f"({type(self._embedder).__name__}) has no spec() to rebuild it from"
             )
         directory.mkdir(parents=True, exist_ok=True)
-        blob = _HEADER.pack(INDEX_MAGIC, INDEX_VERSION, self.count, self.dimension)
-        blob += np.ascontiguousarray(self._matrix, dtype="<f4").tobytes()
-        (directory / VECTORS_FILENAME).write_bytes(blob)
+        with open(directory / VECTORS_FILENAME, "wb") as blob:
+            blob.write(_HEADER.pack(INDEX_MAGIC, INDEX_VERSION, self.count, self.dimension))
+            blob.write(np.ascontiguousarray(self._matrix, dtype="<f4").data)
         manifest = {
             "version": INDEX_VERSION,
             "dimension": self.dimension,
@@ -485,11 +487,11 @@ class FlatIndex:
             raise ValueError(f"{directory}: bad magic {magic!r}")
         if version != INDEX_VERSION:
             raise ValueError(f"{directory}: unsupported index version {version}")
-        body = blob[_HEADER.size :]
+        payload = len(blob) - _HEADER.size
         expected = count * dim * 4
-        if len(body) != expected:
-            raise ValueError(f"{directory}: blob payload is {len(body)} bytes, expected {expected}")
-        matrix = np.frombuffer(body, dtype="<f4").reshape(count, dim)
+        if payload != expected:
+            raise ValueError(f"{directory}: blob payload is {payload} bytes, expected {expected}")
+        matrix = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(count, dim)
         if not np.isfinite(matrix).all():
             raise ValueError(f"{directory}: vector blob holds non-finite values")
 

@@ -9,6 +9,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -81,6 +82,12 @@ def _config(**overrides):
     defaults = dict(roster=roster, synthesis_model="synth", min_quorum=2)
     defaults.update(overrides)
     return EnsembleConfig(**defaults)
+
+
+def _build_directly(document):
+    """The config `document` describes, built in Python instead of by `from_dict`."""
+    roster = tuple(ProviderConfig(**entry) for entry in document["roster"])
+    return EnsembleConfig(**{**document, "roster": roster})
 
 
 def _index(texts=("hex bolt steel", "brass washer", "ball bearing")):
@@ -301,6 +308,13 @@ class TestEnsembleConfig:
             (0, "max_retries", -1),
             (None, "k", -1),
             (None, "gap_confidence_floor", 1.5),
+            (0, "max_retries", 1.5),
+            (0, "max_retries", True),
+            (None, "min_quorum", 1.0),
+            (0, "timeout", "5"),
+            (None, "k", "5"),
+            (None, "threshold", "0.2"),
+            (0, "model_id", 5),
         ],
         ids=[
             "fixtures_dir_not_string",
@@ -327,13 +341,46 @@ class TestEnsembleConfig:
             "negative_max_retries",
             "negative_k",
             "gap_confidence_floor_above_one",
+            "half_max_retries",
+            "boolean_max_retries",
+            "float_min_quorum",
+            "string_timeout",
+            "string_k",
+            "string_threshold",
+            "integer_model_id",
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, entry, key, value):
+        """Each value is refused with the same words whether the config is
+        loaded or built in Python; built, a provider's as a ValueError."""
         document = config_document()
         (document if entry is None else document["roster"][entry])[key] = value
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=f"^{key} must be ") as loaded:
             EnsembleConfig.from_dict(document, base_dir=tmp_path)
+        with pytest.raises(ConfigError if entry is None else ValueError) as built:
+            _build_directly(document)
+        assert str(built.value) == str(loaded.value)
+
+    def test_number_built_in_python_is_stored_as_float(self):
+        config = _config(threshold=0, gap_confidence_floor=1)
+        provider = ProviderConfig(model_id="m", kind=KIND_REPLAY, fixtures_dir="f", timeout=5)
+        values = (config.threshold, config.gap_confidence_floor, provider.timeout)
+        assert values == (0.0, 1.0, 5.0)
+        assert all(type(value) is float for value in values)
+
+    def test_readme_example_loads_with_the_documented_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        config = EnsembleConfig.from_dict(example)
+        for record, shown, names in [
+            (config, example, ("k", "threshold", "min_quorum", "gap_confidence_floor")),
+            (config, example, ("confidence_weights",)),
+            (config.roster[0], example["roster"][0], ("timeout", "max_retries")),
+        ]:
+            defaults = {f.name: f.default for f in fields(record)}
+            for name in names:
+                assert name in shown and getattr(record, name) == defaults[name], name
 
     def test_non_finite_numbers_rejected_when_built_directly(self):
         with pytest.raises(ConfigError, match="threshold"):
@@ -355,6 +402,24 @@ class TestEnsembleConfig:
         except ConfigError:
             return
         assert isinstance(config, EnsembleConfig)
+
+    @settings(max_examples=300)
+    @given(data=st.data(), value=JSON_VALUES)
+    def test_both_build_paths_agree(self, data, value):
+        """Loaded or built in Python, a config is refused with the same words
+        or built equal. The roster's JSON shape is read by `from_dict` alone."""
+        document = config_document()
+        entry = data.draw(st.sampled_from([document, *document["roster"]]))
+        declared = fields(EnsembleConfig if entry is document else ProviderConfig)
+        entry[data.draw(st.sampled_from([f.name for f in declared if f.name != "roster"]))] = value
+        try:
+            loaded = EnsembleConfig.from_dict(document)
+        except ConfigError as refused:
+            with pytest.raises(ValueError) as built:
+                _build_directly(document)
+            assert str(built.value) == str(refused)
+        else:
+            assert _build_directly(document) == loaded
 
     def test_extraction_providers_in_roster_order(self):
         config = _config()

@@ -242,6 +242,12 @@ class TestHashTrigramEmbedder:
         embedder = HashTrigramEmbedder(16)
         assert float(np.linalg.norm(embedder.embed("x"))) > 0
 
+    @pytest.mark.parametrize("dimension", [2.5, True, "5"])
+    def test_dimension_must_be_an_integer(self, dimension):
+        message = f"dimension must be an integer, got {dimension!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            HashTrigramEmbedder(dimension)
+
     def test_different_texts_differ(self):
         embedder = HashTrigramEmbedder()
         assert not np.array_equal(embedder.embed("hex bolt"), embedder.embed("ball bearing"))
