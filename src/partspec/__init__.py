@@ -54,6 +54,7 @@ _SOURCES = {
     ),
 }
 _SOURCE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+__all__ = ["__version__", *_SOURCE_OF]
 
 
 def __getattr__(name: str) -> Any:
@@ -70,45 +71,3 @@ def __dir__() -> list[str]:
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "PartDescription",
-    "SpecSchema",
-    "FieldClaim",
-    "ValidationIssue",
-    "Failure",
-    "ExtractionResult",
-    "canonicalize_value",
-    "canonicalize_field_name",
-    "validate_spec_document",
-    "ProviderConfig",
-    "PromptRequest",
-    "ProviderResponse",
-    "invoke",
-    "parse_structured_output",
-    "PartRecord",
-    "RetrievedContext",
-    "HashTrigramEmbedder",
-    "FlatIndex",
-    "ingest_records",
-    "embed_text",
-    "ResolvedField",
-    "SynthesizedSpec",
-    "field_confidence",
-    "resolve_field",
-    "synthesize_spec",
-    "GroundTruthManifest",
-    "MetricReport",
-    "ics",
-    "tdi",
-    "sdq",
-    "idr",
-    "ara",
-    "evaluate_run",
-    "render_table",
-    "ConfigError",
-    "EnsembleConfig",
-    "PipelineResult",
-    "run_pipeline",
-]

@@ -49,6 +49,7 @@ __all__ = [
     "JsonKind",
     "json_value",
     "check_field_kinds",
+    "json_object",
     "read_text_file",
     "read_json_file",
     "check_utf8",
@@ -153,6 +154,21 @@ def check_field_kinds(record: Any, error: Callable[[str], Exception] = ValueErro
         if kind := _ANNOTATION_KINDS.get(declared.type):
             value = json_value(vars(record), declared.name, kind, error)
             object.__setattr__(record, declared.name, value)
+
+
+def json_object(
+    cls: type, data: Any, what: str, error: Callable[[str], Exception] = ValueError
+) -> dict[str, Any]:
+    """Constructor arguments for dataclass `cls` from the decoded JSON object
+    `data`, whose keys must be `cls`'s fields; an absent key keeps its default.
+    Else raises `error("<what> must be a JSON object")` or `error("unknown
+    <what> keys: [...]")`. Value kinds and ranges are `cls`'s to check."""
+    if not isinstance(data, Mapping):
+        raise error(f"{what} must be a JSON object")
+    unknown = set(data) - {declared.name for declared in fields(cls)}
+    if unknown:
+        raise error(f"unknown {what} keys: {sorted(unknown)}")
+    return dict(data)
 
 
 def read_text_file(path: str | Path, error: Callable[[str], Exception] = ValueError) -> str:
@@ -276,11 +292,7 @@ class SpecSchema:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> SpecSchema:
         """Load from the documented JSON shape with exact key names."""
-        if not isinstance(data, Mapping):
-            raise ValueError("schema must be a JSON object")
-        unknown = set(data) - {"required_fields", "field_kinds"}
-        if unknown:
-            raise ValueError(f"unknown schema keys: {sorted(unknown)}")
+        json_object(cls, data, "schema")
         required = json_value(data, "required_fields", JsonKind.FIELD_NAMES)
         kinds = json_value(data, "field_kinds", JsonKind.OBJECT, default={})
         return cls(tuple(required), dict(kinds))

@@ -15,7 +15,7 @@ import time
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Any
@@ -28,6 +28,7 @@ from .core import (
     PartDescription,
     SpecSchema,
     check_field_kinds,
+    json_object,
     json_value,
     read_json_file,
 )
@@ -91,6 +92,12 @@ class EnsembleConfig:
     confidence_weights: tuple[float, float, float] = DEFAULT_CONFIDENCE_WEIGHTS
 
     def __post_init__(self) -> None:
+        roster = self.roster
+        if not isinstance(roster, (list, tuple)) or not all(
+            isinstance(provider, ProviderConfig) for provider in roster
+        ):
+            raise ConfigError("roster must be an array of provider objects")
+        object.__setattr__(self, "roster", tuple(roster))
         check_field_kinds(self, ConfigError)
         if not self.roster:
             raise ConfigError("roster must be non-empty")
@@ -154,20 +161,20 @@ class EnsembleConfig:
         raises ConfigError.
         """
         try:
-            kwargs = _json_kwargs(cls, data, "config")
+            kwargs = json_object(cls, data, "config", ConfigError)
             roster = kwargs.get("roster")
-            if not isinstance(roster, (list, tuple)):
-                raise ConfigError("roster must be an array of provider objects")
-            providers = []
-            for entry in roster:
-                provider = _json_kwargs(ProviderConfig, entry, "provider")
-                fixtures_dir = provider.get("fixtures_dir")
-                if isinstance(fixtures_dir, str) and base_dir is not None:
-                    # Joining keeps an absolute fixtures_dir as it is.
-                    provider["fixtures_dir"] = str(Path(base_dir, fixtures_dir))
-                providers.append(ProviderConfig(**provider))
-            kwargs["roster"] = tuple(providers)
-            return cls(**kwargs)
+            if isinstance(roster, (list, tuple)):
+                providers = []
+                for entry in roster:
+                    provider = json_object(ProviderConfig, entry, "provider", ConfigError)
+                    fixtures_dir = provider.get("fixtures_dir")
+                    if isinstance(fixtures_dir, str) and base_dir is not None:
+                        # Joining keeps an absolute fixtures_dir as it is.
+                        provider["fixtures_dir"] = str(Path(base_dir, fixtures_dir))
+                    providers.append(ProviderConfig(**provider))
+                roster = providers
+            # Any other roster, a missing one included, is __post_init__'s to refuse.
+            return cls(**{**kwargs, "roster": roster})
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
@@ -177,21 +184,6 @@ class EnsembleConfig:
     def from_file(cls, path: str | Path) -> EnsembleConfig:
         path = Path(path)
         return cls.from_dict(read_json_file(path, ConfigError), base_dir=path.parent)
-
-
-def _json_kwargs(cls: type, data: Any, what: str) -> dict[str, Any]:
-    """Constructor arguments for config dataclass `cls` from a JSON object.
-
-    The accepted keys are the dataclass fields; an absent key keeps its
-    default. Value kinds, ranges and checks across fields are in the
-    dataclass's `__post_init__`.
-    """
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"{what} must be a JSON object")
-    unknown = set(data) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    return dict(data)
 
 
 @dataclass(frozen=True)

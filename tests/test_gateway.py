@@ -6,6 +6,8 @@ import errno
 import hashlib
 import json
 import os
+import select
+import socket
 import time
 from functools import partial
 from urllib.parse import urlsplit
@@ -15,6 +17,7 @@ from conftest import KeepAliveHandler, ScriptedHandler
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partspec import gateway
 from partspec.core import (
     FAIL_PARSE,
     PHASE_EXTRACTION,
@@ -89,6 +92,11 @@ class TestProviderConfig:
             ProviderConfig(
                 model_id="m", kind=KIND_REPLAY, fixtures_dir="f", role_tags=frozenset({"pilot"})
             )
+
+    def test_empty_role_tags_rejected(self):
+        with pytest.raises(ValueError) as refused:
+            ProviderConfig(model_id="m", kind=KIND_REPLAY, fixtures_dir="f", role_tags=frozenset())
+        assert str(refused.value) == "a provider needs at least one role tag"
 
     def test_bare_string_role_tags_rejected_as_in_a_config_file(self):
         # Not read as the set of its letters.
@@ -491,6 +499,28 @@ class TestHttpBackend:
         [(target, headers)] = keepalive_server.received
         assert target == "/v1/chat/completions"
         assert "Proxy-Authorization" not in headers
+
+    def test_https_proxy_tunnels_with_its_credentials(self, monkeypatch):
+        """Opening a connection connects nothing; the tunnel carries the
+        proxy's credentials, so no call repeats them."""
+        _clear_proxy_env(monkeypatch)
+        monkeypatch.setenv("HTTPS_PROXY", "http://user:pw@proxy.test:3128")
+        connection, headers = gateway._open_connection("https", "api.example.test", 443)
+        try:
+            assert (connection.host, connection.port, connection.sock) == ("proxy.test", 3128, None)
+            assert (connection._tunnel_host, connection._tunnel_port) == ("api.example.test", 443)
+            assert connection._tunnel_headers == {"Proxy-Authorization": "Basic dXNlcjpwdw=="}
+            assert headers is None
+        finally:
+            connection.close()
+
+    def test_dropped_without_poll_reads_the_socket_by_select(self, monkeypatch):
+        monkeypatch.delattr(select, "poll", raising=False)
+        ours, peer = socket.socketpair()
+        with ours:
+            with peer:
+                assert not gateway._dropped(ours)  # open and idle
+            assert gateway._dropped(ours)  # closed
 
 
 _REFUSED = repr(ConnectionRefusedError(errno.ECONNREFUSED, os.strerror(errno.ECONNREFUSED)))

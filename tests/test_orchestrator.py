@@ -361,6 +361,48 @@ class TestEnsembleConfig:
             _build_directly(document)
         assert str(built.value) == str(loaded.value)
 
+    @pytest.mark.parametrize(
+        "roster, message",
+        [
+            (None, "roster must be an array of provider objects"),
+            (5, "roster must be an array of provider objects"),
+            ("ab", "roster must be an array of provider objects"),
+            ([5], "provider must be a JSON object"),
+            (
+                [{"model_id": "a", "kind": KIND_REPLAY, "fixtures_dir": "f", "role_tags": []}],
+                "a provider needs at least one role tag",
+            ),
+        ],
+        ids=["missing", "number", "string", "number_entry", "entry_without_role_tags"],
+    )
+    def test_bad_roster_loaded_is_config_error(self, roster, message):
+        document = config_document()
+        if roster is None:
+            del document["roster"]
+        else:
+            document["roster"] = roster
+        with pytest.raises(ConfigError) as refused:
+            EnsembleConfig.from_dict(document)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize(
+        "roster", [("a",), ({"model_id": "a"},), 5, None], ids=["strings", "dicts", "number", "none"]
+    )
+    def test_bad_roster_built_in_python_is_config_error(self, roster):
+        """Refused in the loader's words, not with an AttributeError."""
+        with pytest.raises(ConfigError) as refused:
+            EnsembleConfig(roster=roster, synthesis_model="a")
+        assert str(refused.value) == "roster must be an array of provider objects"
+
+    def test_roster_is_stored_as_a_tuple(self):
+        config = _config()
+        built = _config(roster=list(config.roster))
+        assert type(built.roster) is tuple
+        assert built == config and hash(built) == hash(config)
+        document = config_document()
+        loaded = EnsembleConfig.from_dict({**document, "roster": tuple(document["roster"])})
+        assert loaded == EnsembleConfig.from_dict(document)
+
     def test_number_built_in_python_is_stored_as_float(self):
         config = _config(threshold=0, gap_confidence_floor=1)
         provider = ProviderConfig(model_id="m", kind=KIND_REPLAY, fixtures_dir="f", timeout=5)
@@ -420,6 +462,37 @@ class TestEnsembleConfig:
             assert str(built.value) == str(refused)
         else:
             assert _build_directly(document) == loaded
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_only_json_objects_with_known_keys_load(self, data):
+        """A config, a provider entry or a schema that is no JSON object, or
+        that holds keys its dataclass lacks, is refused naming exactly those."""
+        document = config_document()
+        valid = {
+            "config": (document, EnsembleConfig),
+            "provider": (document["roster"][0], ProviderConfig),
+            "schema": ({"required_fields": ["part_name"]}, SpecSchema),
+        }
+        what = data.draw(st.sampled_from(sorted(valid)))
+        entry, cls = valid[what]
+        if data.draw(st.booleans()):
+            value = data.draw(JSON_VALUES.filter(lambda value: not isinstance(value, dict)))
+            message = f"{what} must be a JSON object"
+        else:
+            known = {declared.name for declared in fields(cls)}
+            extras = data.draw(st.sets(st.text().filter(lambda key: key not in known), min_size=1))
+            value = {**entry, **dict.fromkeys(extras, data.draw(JSON_VALUES))}
+            message = f"unknown {what} keys: {sorted(extras)}"
+        with pytest.raises(ValueError) as refused:
+            if what == "schema":
+                SpecSchema.from_dict(value)
+            elif what == "provider":
+                EnsembleConfig.from_dict({**document, "roster": [value, *document["roster"][1:]]})
+            else:
+                EnsembleConfig.from_dict(value)
+        assert str(refused.value) == message
+        assert type(refused.value) is (ValueError if what == "schema" else ConfigError)
 
     def test_extraction_providers_in_roster_order(self):
         config = _config()

@@ -211,6 +211,13 @@ class TestIngestRecords:
         with pytest.raises(FormatError, match="cannot infer"):
             ingest_records(kb)
 
+    def test_unsupported_format_rejected(self, tmp_path):
+        kb = tmp_path / "kb.json"
+        kb.write_text("[]", encoding="utf-8")
+        with pytest.raises(FormatError) as refused:
+            ingest_records(kb, "xml")
+        assert str(refused.value) == f"{kb}: unsupported format 'xml'"
+
     def test_explicit_format_overrides_suffix(self, tmp_path):
         kb = tmp_path / "kb.txt"
         kb.write_text("id,name\nB1,bolt\n", encoding="utf-8")
@@ -416,6 +423,17 @@ class TestFlatIndexSearch:
         records = [PartRecord("r1", "a", "s"), PartRecord("r1", "b", "s")]
         with pytest.raises(ValueError, match="duplicate"):
             FlatIndex.build(records, HashTrigramEmbedder(16))
+
+    @pytest.mark.parametrize(
+        "shape, rows, message",
+        [((3,), 3, "matrix must be 2-D"), ((2, 4), 1, "metadata length does not match matrix rows")],
+        ids=["one_dimensional_matrix", "metadata_length_not_rows"],
+    )
+    def test_bad_matrix_shape_rejected(self, shape, rows, message):
+        ids = [f"r{row}" for row in range(rows)]
+        with pytest.raises(ValueError) as refused:
+            FlatIndex(np.zeros(shape, np.float32), ids, ids, ids, HashTrigramEmbedder(4))
+        assert str(refused.value) == message
 
     def test_search_is_deterministic(self):
         index = FlatIndex.build(_corpus(60), HashTrigramEmbedder(64))
