@@ -12,7 +12,7 @@ import os
 import re
 import sys
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Any
@@ -117,6 +117,7 @@ class JsonKind:
     BOOLEAN = "a boolean", lambda value: isinstance(value, bool)
     STRINGS = "an array of strings", _is_strings
     FIELD_NAMES = "an array of field names", _is_strings
+    ARRAY = "an array", lambda value: isinstance(value, (list, tuple))
     OBJECT = "an object", lambda value: isinstance(value, Mapping)
 
 
@@ -127,7 +128,8 @@ def json_value(
     """`data[key]` from a decoded JSON object (or array) if it is of `kind`, a
     `JsonKind`; a number reads as a float, and a missing key as `default` if
     given. Else raises `error("<key> is missing")` or `error("<key> must be
-    <kind>, got <repr>")`. Nothing is converted: int() reads 2.9 as 2."""
+    <kind>, got <repr>")`, the repr cut at 500 characters. Nothing is
+    converted: int() reads 2.9 as 2."""
     try:
         value = data[key]
     except LookupError:
@@ -136,7 +138,8 @@ def json_value(
         return default
     noun, test = kind
     if not test(value):
-        raise error(f"{key} must be {noun}, got {value!r}")
+        shown = repr(value)  # cut, so a run file given as the wrong kind is not printed whole
+        raise error(f"{key} must be {noun}, got {shown[:500]}{'...' if len(shown) > 500 else ''}")
     return float(value) if kind is JsonKind.NUMBER else value
 
 
@@ -161,13 +164,18 @@ def json_object(
 ) -> dict[str, Any]:
     """Constructor arguments for dataclass `cls` from the decoded JSON object
     `data`, whose keys must be `cls`'s fields; an absent key keeps its default.
-    Else raises `error("<what> must be a JSON object")` or `error("unknown
-    <what> keys: [...]")`. Value kinds and ranges are `cls`'s to check."""
+    Else raises `error("<what> must be a JSON object")`, `error("unknown <what>
+    keys: [...]")` or, for a field without a default, `error("<key> is
+    missing")`. Value kinds and ranges are `cls`'s to check."""
     if not isinstance(data, Mapping):
         raise error(f"{what} must be a JSON object")
     unknown = set(data) - {declared.name for declared in fields(cls)}
     if unknown:
         raise error(f"unknown {what} keys: {sorted(unknown)}")
+    for declared in fields(cls):
+        required = declared.default is MISSING and declared.default_factory is MISSING
+        if required and declared.name not in data:
+            raise error(f"{declared.name} is missing")
     return dict(data)
 
 
@@ -478,22 +486,24 @@ class ExtractionResult:
     def from_dict(cls, data: Mapping[str, Any]) -> ExtractionResult:
         failure = data.get("failure")
         if failure is not None:
-            failure = json_value(data, "failure", JsonKind.OBJECT, TypeError)
-            failure = _string_record(Failure, failure)
+            failure = _string_record(Failure, failure, "failure")
+        claims = json_value(data, "claims", JsonKind.ARRAY, TypeError, ())
+        issues = json_value(data, "issues", JsonKind.ARRAY, TypeError, ())
         return cls(
             model_id=json_value(data, "model_id", JsonKind.STRING, TypeError),
             phase=json_value(data, "phase", JsonKind.STRING, TypeError, PHASE_EXTRACTION),
-            claims=tuple(FieldClaim.from_dict(claim) for claim in data.get("claims", ())),
+            claims=tuple(FieldClaim.from_dict(claim) for claim in claims),
             schema_valid=json_value(data, "schema_valid", JsonKind.BOOLEAN, TypeError, False),
             raw_output=json_value(data, "raw_output", JsonKind.STRING, TypeError, ""),
             failure=failure,
-            issues=tuple(_string_record(ValidationIssue, i) for i in data.get("issues", ())),
+            issues=tuple(_string_record(ValidationIssue, issue, "issue") for issue in issues),
         )
 
 
-def _string_record(cls: type, data: Mapping[str, Any]) -> Any:
-    """`cls(**data)` for a run-file record of strings; `cls` refuses a missing or unknown key."""
-    return cls(**{key: json_value(data, key, JsonKind.STRING, TypeError) for key in data})
+def _string_record(cls: type, data: Any, what: str) -> Any:
+    """`cls` from a run-file record of strings, its keys checked by `json_object`."""
+    record = json_object(cls, data, what, TypeError)
+    return cls(**{key: json_value(record, key, JsonKind.STRING, TypeError) for key in record})
 
 
 def render_nested_value(mapping: Mapping[str, Any]) -> str:

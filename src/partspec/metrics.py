@@ -12,13 +12,15 @@ Five normalized scores, each in [0, 1]:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 from typing import Any
 
-from .core import PHASE_EXTRACTION, ExtractionResult, JsonKind, json_value, read_json_file
+from .core import (
+    PHASE_EXTRACTION, ExtractionResult, JsonKind, json_object, json_value, read_json_file,
+)
 
 __all__ = [
     "MetricError",
@@ -42,6 +44,11 @@ __all__ = [
 class MetricError(ValueError):
     """Input a metric, the manifest or a run file cannot be scored from; the
     message says what is wrong."""
+
+
+def _refusal(where: str | Path) -> Callable[[str], MetricError]:
+    """The error for a value read at `where`: a MetricError whose message begins with it."""
+    return lambda text: MetricError(f"{where}: {text}")
 
 
 def ics(extracted: Iterable[str], expected: Iterable[str]) -> float:
@@ -105,7 +112,7 @@ class ManifestEntry:
 
     expected_fields: frozenset[str]
     detail_max: int
-    allowed_attributes: frozenset[str]
+    allowed_attributes: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
         if not self.expected_fields:
@@ -128,13 +135,9 @@ class GroundTruthManifest:
     def from_dict(cls, data: Mapping[str, Any]) -> GroundTruthManifest:
         entries: dict[str, ManifestEntry] = {}
         for description_id, raw in data.items():
-            where = f"manifest entry {description_id!r}"
-            if not isinstance(raw, Mapping):
-                raise MetricError(f"{where} must be an object")
-            unknown = set(raw) - {"expected_fields", "detail_max", "allowed_attributes"}
-            if unknown:
-                raise MetricError(f"{where} has unknown keys: {sorted(unknown)}")
-            read = partial(json_value, raw, error=lambda text: MetricError(f"{where}: {text}"))
+            refuse = _refusal(f"manifest entry {description_id!r}")
+            raw = json_object(ManifestEntry, raw, "manifest entry", refuse)
+            read = partial(json_value, raw, error=refuse)
             entries[description_id] = ManifestEntry(
                 frozenset(read("expected_fields", JsonKind.FIELD_NAMES)),
                 read("detail_max", JsonKind.INTEGER),
@@ -168,14 +171,7 @@ class MetricReport:
                 raise ValueError(f"{name} must be within [0, 1], got {value}")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "system_id": self.system_id,
-            "ics": self.ics,
-            "tdi": self.tdi,
-            "sdq": self.sdq,
-            "idr": self.idr,
-            "ara": self.ara,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -205,18 +201,17 @@ def load_system_run(path: str | Path) -> SystemRun:
     data = read_json_file(path, MetricError)
     if not isinstance(data, Mapping) or not isinstance(data.get("system_id"), str):
         raise MetricError(f"{path}: run file must be an object with a string system_id")
-    raw_descriptions = data.get("descriptions", [])
-    if not isinstance(raw_descriptions, list):
-        raise MetricError(f"{path}: descriptions must be an array")
+    raw_descriptions = json_value(data, "descriptions", JsonKind.ARRAY, _refusal(path), [])
     descriptions: list[DescriptionRun] = []
     for position, raw in enumerate(raw_descriptions):
         where = f"{path}: description {position}"
         if not isinstance(raw, Mapping):
             raise MetricError(f"{where} must be an object")
-        read = partial(json_value, error=lambda text: MetricError(f"{where}: {text}"))
+        read = partial(json_value, error=_refusal(where))
         description_id = read(raw, "description_id", JsonKind.STRING)
+        raw_outputs = read(raw, "outputs", JsonKind.ARRAY, default=())
         try:
-            outputs = tuple(ExtractionResult.from_dict(o) for o in raw.get("outputs", ()))
+            outputs = tuple(ExtractionResult.from_dict(o) for o in raw_outputs)
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MetricError(f"{where}: unreadable output ({type(exc).__name__}: {exc})") from None
         final_fields: tuple[str, ...] | None = None
@@ -262,14 +257,8 @@ def evaluate_run(
             if description.final_fields is not None:
                 attributes: list[str] = list(description.final_fields)
             else:
-                attributes = sorted(
-                    {
-                        claim.field
-                        for output in description.outputs
-                        if output.schema_valid
-                        for claim in output.claims
-                    }
-                )
+                valid = [out.field_names() for out in description.outputs if out.schema_valid]
+                attributes = sorted(frozenset().union(*valid))
             extracted = set(attributes)
             ics_values.append(ics(extracted, entry.expected_fields))
             depth = sum(
@@ -286,10 +275,8 @@ def evaluate_run(
             ]
             if len(first_phase) >= 2:
                 idr_values.append(idr(first_phase))
-            for attribute in attributes:
-                attribute_count += 1
-                if attribute not in entry.allowed_attributes:
-                    extraneous += 1
+            attribute_count += len(attributes)
+            extraneous += sum(1 for name in attributes if name not in entry.allowed_attributes)
         reports.append(
             MetricReport(
                 system_id=run.system_id,

@@ -154,7 +154,7 @@ class EnsembleConfig:
     def from_dict(
         cls, data: Mapping[str, Any], base_dir: str | Path | None = None
     ) -> EnsembleConfig:
-        """Build from the documented JSON shape; unknown keys are errors.
+        """Build from the documented JSON shape; unknown and missing keys are errors.
 
         Relative fixtures_dir paths resolve against base_dir (normally the
         config file's directory) so configs stay relocatable. Any bad value
@@ -162,19 +162,17 @@ class EnsembleConfig:
         """
         try:
             kwargs = json_object(cls, data, "config", ConfigError)
-            roster = kwargs.get("roster")
-            if isinstance(roster, (list, tuple)):
+            if isinstance(kwargs["roster"], (list, tuple)):  # else __post_init__ refuses it
                 providers = []
-                for entry in roster:
+                for entry in kwargs["roster"]:
                     provider = json_object(ProviderConfig, entry, "provider", ConfigError)
                     fixtures_dir = provider.get("fixtures_dir")
                     if isinstance(fixtures_dir, str) and base_dir is not None:
                         # Joining keeps an absolute fixtures_dir as it is.
                         provider["fixtures_dir"] = str(Path(base_dir, fixtures_dir))
                     providers.append(ProviderConfig(**provider))
-                roster = providers
-            # Any other roster, a missing one included, is __post_init__'s to refuse.
-            return cls(**{**kwargs, "roster": roster})
+                kwargs["roster"] = providers
+            return cls(**kwargs)
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:

@@ -16,7 +16,7 @@ import zlib
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, Protocol
 
 import numpy as np
 
@@ -213,7 +213,6 @@ def _read_json_rows(path: Path) -> list[tuple[int, dict[str, Any]]]:
     return rows
 
 
-@runtime_checkable
 class Embedder(Protocol):
     """Anything that maps text to a fixed-dimension dense vector."""
 
@@ -362,7 +361,9 @@ class FlatIndex:
         if not (len(record_ids) == len(flat_texts) == len(sources) == matrix.shape[0]):
             raise ValueError("metadata length does not match matrix rows")
         if len(set(record_ids)) != len(record_ids):
-            raise ValueError("duplicate record ids in index")
+            ordered = sorted(record_ids)
+            repeated = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
+            raise ValueError(f"duplicate record id {repeated!r} in index")
         self._matrix = matrix
         self._record_ids = tuple(record_ids)
         self._flat_texts = tuple(flat_texts)
@@ -495,12 +496,16 @@ class FlatIndex:
         if not np.isfinite(matrix).all():
             raise ValueError(f"{directory}: vector blob holds non-finite values")
 
+        def refuse_manifest(text: str) -> ValueError:
+            return ValueError(f"{directory}: manifest {text}")
+
+        def refuse(text: str) -> ValueError:  # `where` names the record being read
+            return ValueError(f"{where}: {text}")
+
         manifest = read_json_file(directory / MANIFEST_FILENAME)
         if not isinstance(manifest, Mapping):
             raise ValueError(f"{directory}: manifest must be a JSON object")
-        records = manifest.get("records", [])
-        if not isinstance(records, list):
-            raise ValueError(f"{directory}: manifest records must be an array")
+        records = json_value(manifest, "records", JsonKind.ARRAY, refuse_manifest, [])
         if len(records) != count:
             raise ValueError(
                 f"{directory}: manifest lists {len(records)} records, blob holds {count}"
@@ -508,10 +513,6 @@ class FlatIndex:
         record_ids: list[str] = []
         flat_texts: list[str] = []
         sources: list[str] = []
-
-        def refuse(text: str) -> ValueError:  # `where` names the record being read
-            return ValueError(f"{where}: {text}")
-
         for position, entry in enumerate(records):
             where = f"{directory}: manifest record {position}"
             if not isinstance(entry, Mapping):
@@ -521,8 +522,7 @@ class FlatIndex:
             sources.append(json_value(entry, "source", JsonKind.STRING, refuse, ""))
             check_utf8(flat_texts[-1], f"{where} flat_text")
         spec = json_value(
-            manifest, "embedder", JsonKind.OBJECT,
-            lambda text: ValueError(f"{directory}: manifest {text}"), {"kind": "hash_trigram"},
+            manifest, "embedder", JsonKind.OBJECT, refuse_manifest, {"kind": "hash_trigram"}
         )
         if (kind := spec.get("kind")) != "hash_trigram":
             raise ValueError(f"{directory}: manifest names unknown embedder kind {kind!r}")
@@ -539,5 +539,8 @@ class FlatIndex:
                 f"{directory}: embedder dimension {embedder.dimension} does not match "
                 f"the index dimension {dim}"
             )
-        return cls(matrix, record_ids, flat_texts, sources, embedder)
+        try:
+            return cls(matrix, record_ids, flat_texts, sources, embedder)
+        except ValueError as exc:  # a repeated record id
+            raise ValueError(f"{directory}: {exc}") from None
 

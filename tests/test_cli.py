@@ -414,6 +414,16 @@ _EVAL_DEFECTS = {
     "string_confidence": "run.json: description 0: unreadable output (TypeError: confidence",
     "number_failure_kind": "run.json: description 0: unreadable output (TypeError: kind",
     "non_string_issue_path": "run.json: description 0: unreadable output (TypeError: path",
+    "issue_without_path": "run.json: description 0: unreadable output (TypeError: path is missing)",
+    "issue_not_object": (
+        "run.json: description 0: unreadable output (TypeError: issue must be a JSON object)"
+    ),
+    "outputs_not_array": "run.json: description 0: outputs must be an array, got {",
+    "string_claims": (
+        "run.json: description 0: unreadable output "
+        "(TypeError: claims must be an array, got 'part_name')"
+    ),
+    "unknown_manifest_entry_key": "manifest entry 'd001': unknown manifest entry keys: ['weight']",
 }
 
 # The defects above that set one key of the first description's manifest entry.
@@ -428,6 +438,7 @@ _MANIFEST_ENTRY_VALUES = {
     "string_allowed_attributes": ("allowed_attributes", "part_name"),
     "object_expected_fields": ("expected_fields", {"part_name": 1}),
     "object_allowed_attributes": ("allowed_attributes", {"part_name": 1}),
+    "unknown_manifest_entry_key": ("weight", 2),
 }
 
 # The defects above that set one key of the first output, or of its first claim.
@@ -439,6 +450,9 @@ _OUTPUT_VALUES = {
     "string_confidence": (("claims", 0), "confidence", "0.5"),
     "number_failure_kind": ((), "failure", {"kind": 5, "detail": None}),
     "non_string_issue_path": ((), "issues", [{"kind": "missing_field", "path": [2]}]),
+    "issue_without_path": ((), "issues", [{"kind": "missing_field"}]),
+    "issue_not_object": ((), "issues", [5]),
+    "string_claims": ((), "claims", "part_name"),
 }
 
 
@@ -1180,6 +1194,8 @@ class TestEval:
             run["system_id"] = 5
         elif defect == "output_not_object":
             first["outputs"][0] = 7
+        elif defect == "outputs_not_array":
+            first["outputs"] = first["outputs"][0]
         elif defect == "description_id_not_string":
             first["description_id"] = {}
         elif defect == "overflowing_confidence":

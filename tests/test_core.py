@@ -119,6 +119,8 @@ class TestJsonValue:
             (JsonKind.STRINGS, "ab"),
             (JsonKind.FIELD_NAMES, ["a", 1]),
             (JsonKind.OBJECT, [1]),
+            (JsonKind.ARRAY, "ab"),
+            (JsonKind.ARRAY, {"a": 1}),
         ],
     )
     def test_refusal_names_key_kind_and_value(self, kind, value):
@@ -138,11 +140,22 @@ class TestJsonValue:
             (JsonKind.BOOLEAN, False, False),
             (JsonKind.STRINGS, [], []),
             (JsonKind.OBJECT, {}, {}),
+            (JsonKind.ARRAY, [1, "a"], [1, "a"]),
         ],
     )
     def test_value_of_its_kind_is_read(self, kind, value, expected):
         read = json_value({"k": value}, "k", kind)
         assert read == expected and type(read) is type(expected)
+
+    @pytest.mark.parametrize(
+        ("value", "shown"),
+        [("a" * 498, repr("a" * 498)), ("a" * 499, repr("a" * 499)[:500] + "...")],
+        ids=["500_characters_whole", "501_characters_cut"],
+    )
+    def test_refused_value_is_shown_up_to_500_characters(self, value, shown):
+        with pytest.raises(TypeError) as refused:
+            json_value({"k": value}, "k", JsonKind.ARRAY, TypeError)
+        assert str(refused.value) == f"k must be an array, got {shown}"
 
     def test_missing_key(self):
         assert json_value({}, "k", JsonKind.STRING, default=None) is None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -181,7 +182,8 @@ class TestManifest:
             manifest.entry("nope")
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown keys"):
+        message = "manifest entry 'd1': unknown manifest entry keys: ['extra']"
+        with pytest.raises(MetricError, match=f"^{re.escape(message)}$"):
             GroundTruthManifest.from_dict(
                 {"d1": {"expected_fields": ["a"], "detail_max": 1, "extra": 1}}
             )
@@ -192,6 +194,10 @@ class TestManifest:
         with pytest.raises(MetricError, match="detail_max must be positive, got 0"):
             ManifestEntry(frozenset({"a"}), 0, frozenset())
 
+    def test_smallest_detail_max_accepted(self):
+        entry = GroundTruthManifest.from_dict({"d1": {"expected_fields": ["a"], "detail_max": 1}})
+        assert entry.entry("d1") == ManifestEntry(frozenset({"a"}), 1)
+
 
 class TestMetricReport:
     def test_range_enforced(self):
@@ -199,6 +205,14 @@ class TestMetricReport:
             MetricReport("s", 1.2, 0.5, 0.5, 0.5, 0.5)
         with pytest.raises(ValueError, match="within"):
             MetricReport("s", 0.5, 0.5, 0.5, -0.1, 0.5)
+
+    @pytest.mark.parametrize("low, high", [(0.0, 1.0), (1.0, 0.0)])
+    def test_range_bounds_accepted(self, low, high):
+        report = MetricReport("s", low, high, low, high, low)
+        assert list(report.to_dict().items()) == [
+            ("system_id", "s"), ("ics", low), ("tdi", high), ("sdq", low), ("idr", high),
+            ("ara", low),
+        ]
 
 
 class TestRenderTable:
@@ -327,6 +341,43 @@ class TestEvaluateRun:
         [report], _ = evaluate_run([run], _manifest())
         # No output to judge and no attribute to weigh: 0.0, not a division by zero.
         assert (report.ics, report.sdq, report.idr, report.ara) == (0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "description, extraneous",
+        [
+            (DescriptionRun("d1", (), ("manufacturer", "part_name", "weight")), 1 / 3),
+            (
+                DescriptionRun(
+                    "d1",
+                    (
+                        _result(True, ["part_name", "color"], model="m1"),
+                        _result(True, ["part_name", "mass"], model="m2"),
+                        # Schema-invalid, so its field is not extracted.
+                        ExtractionResult(
+                            "m3", PHASE_EXTRACTION,
+                            (FieldClaim.make("junk", "v", 1.0, "m3", PHASE_EXTRACTION),), False,
+                        ),
+                    ),
+                ),
+                2 / 3,
+            ),
+        ],
+        ids=["final_fields", "union_of_outputs"],
+    )
+    def test_extraneous_attributes_raise_relevance(self, description, extraneous):
+        """Attributes outside the allowed set over all attributes: from the
+        final spec's fields, else from the union of schema-valid outputs."""
+        manifest = GroundTruthManifest.from_dict(
+            {
+                "d1": {
+                    "expected_fields": ["part_name"],
+                    "detail_max": 2,
+                    "allowed_attributes": ["manufacturer", "part_name"],
+                }
+            }
+        )
+        [report], _ = evaluate_run([SystemRun("sys-a", (description,))], manifest)
+        assert report.ara == extraneous
 
     def test_single_valid_output_scores_zero_divergence(self):
         run = SystemRun(

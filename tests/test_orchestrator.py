@@ -58,6 +58,7 @@ from partspec.orchestrator import (
     research_phase,
     run_pipeline,
 )
+from partspec.metrics import GroundTruthManifest, ManifestEntry, MetricError
 from partspec.retrieval import FlatIndex, HashTrigramEmbedder, Hit, PartRecord, RetrievedContext
 
 DESCRIPTION = PartDescription("d1", "M8 hex bolt, steel, zinc plated")
@@ -82,6 +83,10 @@ def _config(**overrides):
     defaults = dict(roster=roster, synthesis_model="synth", min_quorum=2)
     defaults.update(overrides)
     return EnsembleConfig(**defaults)
+
+
+# A row value meaning the key is left out of the document.
+_ABSENT = object()
 
 
 def _build_directly(document):
@@ -315,6 +320,8 @@ class TestEnsembleConfig:
             (None, "k", "5"),
             (None, "threshold", "0.2"),
             (0, "model_id", 5),
+            (None, "synthesis_model", _ABSENT),
+            (0, "kind", _ABSENT),
         ],
         ids=[
             "fixtures_dir_not_string",
@@ -348,15 +355,27 @@ class TestEnsembleConfig:
             "string_k",
             "string_threshold",
             "integer_model_id",
+            "missing_synthesis_model",
+            "missing_provider_kind",
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, entry, key, value):
         """Each value is refused with the same words whether the config is
-        loaded or built in Python; built, a provider's as a ValueError."""
+        loaded or built in Python; built, a provider's as a ValueError. A
+        missing key is refused as missing; built, Python's call refuses it."""
         document = config_document()
-        (document if entry is None else document["roster"][entry])[key] = value
-        with pytest.raises(ConfigError, match=f"^{key} must be ") as loaded:
+        target = document if entry is None else document["roster"][entry]
+        if value is _ABSENT:
+            del target[key]
+        else:
+            target[key] = value
+        words = "is missing$" if value is _ABSENT else "must be "
+        with pytest.raises(ConfigError, match=f"^{key} {words}") as loaded:
             EnsembleConfig.from_dict(document, base_dir=tmp_path)
+        if value is _ABSENT:
+            with pytest.raises(TypeError, match=f"missing 1 required .*'{key}'"):
+                _build_directly(document)
+            return
         with pytest.raises(ConfigError if entry is None else ValueError) as built:
             _build_directly(document)
         assert str(built.value) == str(loaded.value)
@@ -364,7 +383,7 @@ class TestEnsembleConfig:
     @pytest.mark.parametrize(
         "roster, message",
         [
-            (None, "roster must be an array of provider objects"),
+            (None, "roster is missing"),
             (5, "roster must be an array of provider objects"),
             ("ab", "roster must be an array of provider objects"),
             ([5], "provider must be a JSON object"),
@@ -466,33 +485,49 @@ class TestEnsembleConfig:
     @settings(max_examples=300)
     @given(data=st.data())
     def test_only_json_objects_with_known_keys_load(self, data):
-        """A config, a provider entry or a schema that is no JSON object, or
-        that holds keys its dataclass lacks, is refused naming exactly those."""
+        """A config, a provider entry, a schema or an eval manifest entry that
+        is no JSON object, that holds keys its dataclass lacks, or that lacks
+        a key with no default, is refused naming exactly that."""
         document = config_document()
         valid = {
-            "config": (document, EnsembleConfig),
-            "provider": (document["roster"][0], ProviderConfig),
-            "schema": ({"required_fields": ["part_name"]}, SpecSchema),
+            "config": (document, EnsembleConfig, ("roster", "synthesis_model")),
+            "provider": (document["roster"][0], ProviderConfig, ("model_id", "kind")),
+            "schema": ({"required_fields": ["part_name"]}, SpecSchema, ("required_fields",)),
+            "manifest entry": (
+                {"expected_fields": ["part_name"], "detail_max": 2},
+                ManifestEntry,
+                ("expected_fields", "detail_max"),
+            ),
         }
         what = data.draw(st.sampled_from(sorted(valid)))
-        entry, cls = valid[what]
-        if data.draw(st.booleans()):
+        entry, cls, required = valid[what]
+        branch = data.draw(st.sampled_from(["not_object", "unknown_keys", "missing_key"]))
+        if branch == "not_object":
             value = data.draw(JSON_VALUES.filter(lambda value: not isinstance(value, dict)))
             message = f"{what} must be a JSON object"
-        else:
+        elif branch == "unknown_keys":
             known = {declared.name for declared in fields(cls)}
             extras = data.draw(st.sets(st.text().filter(lambda key: key not in known), min_size=1))
             value = {**entry, **dict.fromkeys(extras, data.draw(JSON_VALUES))}
             message = f"unknown {what} keys: {sorted(extras)}"
+        else:
+            dropped = data.draw(st.sampled_from(required))
+            value = {key: item for key, item in entry.items() if key != dropped}
+            message = f"{dropped} is missing"
         with pytest.raises(ValueError) as refused:
             if what == "schema":
                 SpecSchema.from_dict(value)
             elif what == "provider":
                 EnsembleConfig.from_dict({**document, "roster": [value, *document["roster"][1:]]})
+            elif what == "manifest entry":
+                GroundTruthManifest.from_dict({"d1": value})
             else:
                 EnsembleConfig.from_dict(value)
+        if what == "manifest entry":
+            message = f"manifest entry 'd1': {message}"
         assert str(refused.value) == message
-        assert type(refused.value) is (ValueError if what == "schema" else ConfigError)
+        errors = {"schema": ValueError, "manifest entry": MetricError}
+        assert type(refused.value) is errors.get(what, ConfigError)
 
     def test_extraction_providers_in_roster_order(self):
         config = _config()

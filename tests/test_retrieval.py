@@ -616,6 +616,16 @@ class TestPersistence:
         with pytest.raises(ValueError, match=re.escape(message)):
             FlatIndex.load(tmp_path)
 
+    def test_repeated_record_id_rejected(self, tmp_path):
+        FlatIndex.build(_corpus(3), HashTrigramEmbedder(16)).save(tmp_path)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["records"][2]["record_id"] = "r0000"
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        message = f"{tmp_path}: duplicate record id 'r0000' in index"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FlatIndex.load(tmp_path)
+
     def test_unknown_embedder_kind_rejected(self, tmp_path):
         FlatIndex.build(_corpus(2), HashTrigramEmbedder(16)).save(tmp_path)
         manifest_path = tmp_path / "manifest.json"
