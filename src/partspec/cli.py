@@ -28,12 +28,11 @@ from pathlib import Path
 from typing import Any, BinaryIO, NoReturn, TextIO
 
 from .core import (
-    JsonKind,
     PartDescription,
     SpecSchema,
     check_utf8,
     decode_json,
-    json_value,
+    json_object,
     read_text_file,
     text_mode_line_ends,
 )
@@ -486,18 +485,18 @@ def _read_descriptions(source: str, stdin: TextIO) -> list[PartDescription]:
         data = decode_json(text, "<stdin>" if source == "-" else source)
         seen: set[str] = set()
         for position, item in enumerate(data):
-            where = f"input item {position}"
-            item_text = item.get("text") if isinstance(item, Mapping) else None
-            if not isinstance(item_text, str) or "id" not in item:
-                raise ValueError(f"{where} must be an object with id and text")
-            read = partial(json_value, item, error=lambda text: ValueError(f"{where}: {text}"))
-            description_id = read("id", JsonKind.STRING)
-            category = read("category", JsonKind.OPTIONAL_STRING, default=None)
-            if description_id in seen:
-                raise ValueError(f"{where} repeats description id {description_id!r}")
-            check_utf8(item_text, f"{where}: text")
-            seen.add(description_id)
-            descriptions.append(PartDescription(description_id, item_text, category or None))
+            try:
+                arguments = json_object(PartDescription, item, "input item")
+                if arguments.get("category") == "":  # an empty category reads as null
+                    arguments["category"] = None
+                description = PartDescription(**arguments)
+                check_utf8(description.text, "text")
+            except ValueError as exc:
+                raise ValueError(f"input item {position}: {exc}") from None
+            if description.id in seen:
+                raise ValueError(f"input item {position} repeats description id {description.id!r}")
+            seen.add(description.id)
+            descriptions.append(description)
     else:
         # strip() keeps a byte order mark (utf-8-sig drops it); splitlines() also splits at U+2028.
         text = text_mode_line_ends(text.removeprefix("\ufeff"))

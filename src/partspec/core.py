@@ -49,7 +49,9 @@ __all__ = [
     "JsonKind",
     "json_value",
     "check_field_kinds",
+    "clamp01",
     "json_object",
+    "json_objects",
     "read_text_file",
     "read_json_file",
     "check_utf8",
@@ -116,7 +118,6 @@ class JsonKind:
     NUMBER = "a number", _is_number
     BOOLEAN = "a boolean", lambda value: isinstance(value, bool)
     STRINGS = "an array of strings", _is_strings
-    FIELD_NAMES = "an array of field names", _is_strings
     ARRAY = "an array", lambda value: isinstance(value, (list, tuple))
     OBJECT = "an object", lambda value: isinstance(value, Mapping)
 
@@ -147,16 +148,25 @@ _ANNOTATION_KINDS = {  # the JSON kind of a dataclass field, by its annotation s
     "str": JsonKind.STRING, "str | None": JsonKind.OPTIONAL_STRING,
     "int": JsonKind.INTEGER, "float": JsonKind.NUMBER,
     "tuple[str, ...]": JsonKind.STRINGS, "frozenset[str]": JsonKind.STRINGS,
+    "Mapping[str, str]": JsonKind.OBJECT,
 }
+_CONTAINERS = {"tuple[str, ...]": tuple, "frozenset[str]": frozenset, "Mapping[str, str]": dict}
 
 
 def check_field_kinds(record: Any, error: Callable[[str], Exception] = ValueError) -> None:
-    """Read each field of dataclass `record` by its annotation through `json_value`, in
-    declaration order, and store it back, a number as a float; `error` refuses a bad one."""
+    """Read each field of dataclass `record` by its annotation through `json_value` and store it
+    back, a number as a float and an array or object as its annotated container; `error` refuses."""
     for declared in fields(record):
         if kind := _ANNOTATION_KINDS.get(declared.type):
             value = json_value(vars(record), declared.name, kind, error)
+            if container := _CONTAINERS.get(declared.type):
+                value = container(value)
             object.__setattr__(record, declared.name, value)
+
+
+def clamp01(value: float) -> float:
+    """`value` clamped into [0, 1]; NaN reads as 0.0."""
+    return 1.0 if value > 1.0 else value if value >= 0.0 else 0.0
 
 
 def json_object(
@@ -177,6 +187,16 @@ def json_object(
         if required and declared.name not in data:
             raise error(f"{declared.name} is missing")
     return dict(data)
+
+
+def json_objects(
+    data: Any, key: str, what: str, error: Callable[[str], Exception] = ValueError
+) -> list[Any]:
+    """The objects in the JSON array `data[key]`, none if it is absent. Else raises `error("<key>
+    must be an array, got <repr>")` or `error("<what> <position> must be an object, got ...")`."""
+    array = json_value(data, key, JsonKind.ARRAY, error, ())
+    refuse = lambda text: error(f"{what} {text}")  # noqa: E731 - names the item's position
+    return [json_value(array, position, JsonKind.OBJECT, refuse) for position in range(len(array))]
 
 
 def read_text_file(path: str | Path, error: Callable[[str], Exception] = ValueError) -> str:
@@ -248,6 +268,7 @@ class PartDescription:
     category: str | None = None
 
     def __post_init__(self) -> None:
+        check_field_kinds(self)
         if not self.text.strip():
             raise ValueError(f"description {self.id!r} has empty text")
 
@@ -266,6 +287,7 @@ class SpecSchema:
     field_kinds: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        check_field_kinds(self)
         if not self.required_fields:
             raise ValueError("schema requires at least one required field")
         seen: set[str] = set()
@@ -300,10 +322,7 @@ class SpecSchema:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> SpecSchema:
         """Load from the documented JSON shape with exact key names."""
-        json_object(cls, data, "schema")
-        required = json_value(data, "required_fields", JsonKind.FIELD_NAMES)
-        kinds = json_value(data, "field_kinds", JsonKind.OBJECT, default={})
-        return cls(tuple(required), dict(kinds))
+        return cls(**json_object(cls, data, "schema"))
 
     @classmethod
     def from_file(cls, path: str | Path) -> SpecSchema:
@@ -314,12 +333,7 @@ class SpecSchema:
         """Minimal built-in schema for part specifications."""
         return cls(
             required_fields=("part_name", "manufacturer", "part_number", "specifications"),
-            field_kinds={
-                "part_name": SCALAR_TEXT,
-                "manufacturer": SCALAR_TEXT,
-                "part_number": SCALAR_TEXT,
-                "specifications": NESTED_MAP,
-            },
+            field_kinds={"specifications": NESTED_MAP},  # the others read as scalar-text
         )
 
 
@@ -487,7 +501,7 @@ class ExtractionResult:
         failure = data.get("failure")
         if failure is not None:
             failure = _string_record(Failure, failure, "failure")
-        claims = json_value(data, "claims", JsonKind.ARRAY, TypeError, ())
+        claims = json_objects(data, "claims", "claim", TypeError)
         issues = json_value(data, "issues", JsonKind.ARRAY, TypeError, ())
         return cls(
             model_id=json_value(data, "model_id", JsonKind.STRING, TypeError),
@@ -591,7 +605,7 @@ def _unwrap(value: Any, path: str) -> tuple[Any, float | None, tuple[ValidationI
     elif 0.0 <= confidence <= 1.0:
         return value["value"], float(confidence), ()
     else:
-        found, clamped = repr(float(confidence)), float(min(1.0, max(0.0, confidence)))
+        found, clamped = repr(float(confidence)), clamp01(float(confidence))
     issue = ValidationIssue(KIND_MISMATCH, f"{path}.confidence", "number in [0, 1]", found)
     return value["value"], clamped, (issue,)
 

@@ -125,8 +125,7 @@ class ProviderConfig:
             raise ValueError("timeout must be positive and finite")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        unknown = set(self.role_tags) - ROLE_TAGS
-        if unknown:
+        if unknown := self.role_tags - ROLE_TAGS:
             raise ValueError(f"unknown role tags: {sorted(unknown)}")
         if not self.role_tags:
             raise ValueError("a provider needs at least one role tag")
@@ -138,7 +137,6 @@ class ProviderConfig:
             )
         if self.kind == KIND_REPLAY and not self.fixtures_dir:
             raise ValueError(f"provider {self.model_id!r} is replay but has no fixtures_dir")
-        object.__setattr__(self, "role_tags", frozenset(self.role_tags))
 
 
 def _is_http_url(text: str) -> bool:

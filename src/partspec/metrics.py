@@ -19,7 +19,8 @@ from pathlib import Path
 from typing import Any
 
 from .core import (
-    PHASE_EXTRACTION, ExtractionResult, JsonKind, json_object, json_value, read_json_file,
+    PHASE_EXTRACTION, ExtractionResult, JsonKind, check_field_kinds, clamp01, json_object,
+    json_objects, json_value, read_json_file,
 )
 
 __all__ = [
@@ -65,8 +66,7 @@ def tdi(detail_counts: Sequence[int], d_max: int) -> float:
         raise MetricError("detail_counts is empty")
     if d_max <= 0:
         raise MetricError(f"d_max must be positive, got {d_max}")
-    ratio = sum(detail_counts) / (len(detail_counts) * d_max)
-    return 0.0 if ratio < 0.0 else 1.0 if ratio > 1.0 else ratio
+    return clamp01(sum(detail_counts) / (len(detail_counts) * d_max))
 
 
 def sdq(outputs: Sequence[ExtractionResult]) -> float:
@@ -115,6 +115,7 @@ class ManifestEntry:
     allowed_attributes: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
+        check_field_kinds(self, MetricError)
         if not self.expected_fields:
             raise MetricError("expected_fields must be non-empty")
         if self.detail_max <= 0:
@@ -135,14 +136,11 @@ class GroundTruthManifest:
     def from_dict(cls, data: Mapping[str, Any]) -> GroundTruthManifest:
         entries: dict[str, ManifestEntry] = {}
         for description_id, raw in data.items():
-            refuse = _refusal(f"manifest entry {description_id!r}")
-            raw = json_object(ManifestEntry, raw, "manifest entry", refuse)
-            read = partial(json_value, raw, error=refuse)
-            entries[description_id] = ManifestEntry(
-                frozenset(read("expected_fields", JsonKind.FIELD_NAMES)),
-                read("detail_max", JsonKind.INTEGER),
-                frozenset(read("allowed_attributes", JsonKind.FIELD_NAMES, default=())),
-            )
+            try:
+                entry = json_object(ManifestEntry, raw, "manifest entry", MetricError)
+                entries[description_id] = ManifestEntry(**entry)
+            except MetricError as exc:
+                raise MetricError(f"manifest entry {description_id!r}: {exc}") from None
         return cls(entries)
 
     @classmethod
@@ -201,18 +199,15 @@ def load_system_run(path: str | Path) -> SystemRun:
     data = read_json_file(path, MetricError)
     if not isinstance(data, Mapping) or not isinstance(data.get("system_id"), str):
         raise MetricError(f"{path}: run file must be an object with a string system_id")
-    raw_descriptions = json_value(data, "descriptions", JsonKind.ARRAY, _refusal(path), [])
     descriptions: list[DescriptionRun] = []
-    for position, raw in enumerate(raw_descriptions):
+    for position, raw in enumerate(json_objects(data, "descriptions", "description", _refusal(path))):
         where = f"{path}: description {position}"
-        if not isinstance(raw, Mapping):
-            raise MetricError(f"{where} must be an object")
         read = partial(json_value, error=_refusal(where))
         description_id = read(raw, "description_id", JsonKind.STRING)
-        raw_outputs = read(raw, "outputs", JsonKind.ARRAY, default=())
+        raw_outputs = json_objects(raw, "outputs", "output", _refusal(where))
         try:
             outputs = tuple(ExtractionResult.from_dict(o) for o in raw_outputs)
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise MetricError(f"{where}: unreadable output ({type(exc).__name__}: {exc})") from None
         final_fields: tuple[str, ...] | None = None
         if raw.get("final") is not None:

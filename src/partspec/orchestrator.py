@@ -110,7 +110,7 @@ class EnsembleConfig:
             raise ConfigError(f"synthesis_model {self.synthesis_model!r} is not in the roster")
         if ROLE_SYNTHESIS not in synth.role_tags:
             raise ConfigError(f"synthesis_model {self.synthesis_model!r} lacks the synthesis role")
-        research = tuple(self.research_models) or tuple(
+        research = self.research_models or tuple(
             provider.model_id for provider in self.roster if ROLE_RESEARCH in provider.role_tags
         )
         for model_id in research:

@@ -24,6 +24,7 @@ from .core import (
     JsonKind,
     check_field_kinds,
     check_utf8,
+    json_objects,
     json_value,
     read_json_file,
     read_text_file,
@@ -505,7 +506,7 @@ class FlatIndex:
         manifest = read_json_file(directory / MANIFEST_FILENAME)
         if not isinstance(manifest, Mapping):
             raise ValueError(f"{directory}: manifest must be a JSON object")
-        records = json_value(manifest, "records", JsonKind.ARRAY, refuse_manifest, [])
+        records = json_objects(manifest, "records", "record", refuse_manifest)
         if len(records) != count:
             raise ValueError(
                 f"{directory}: manifest lists {len(records)} records, blob holds {count}"
@@ -515,8 +516,6 @@ class FlatIndex:
         sources: list[str] = []
         for position, entry in enumerate(records):
             where = f"{directory}: manifest record {position}"
-            if not isinstance(entry, Mapping):
-                raise ValueError(f"{where} must be an object, got {entry!r}")
             record_ids.append(json_value(entry, "record_id", JsonKind.STRING, refuse))
             flat_texts.append(json_value(entry, "flat_text", JsonKind.STRING, refuse))
             sources.append(json_value(entry, "source", JsonKind.STRING, refuse, ""))

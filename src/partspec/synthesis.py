@@ -23,6 +23,7 @@ from .core import (
     FieldClaim,
     SpecSchema,
     canonicalize_value,
+    clamp01,
 )
 from .gateway import PromptRequest
 from .retrieval import RetrievedContext
@@ -107,10 +108,6 @@ class SynthesizedSpec:
         }
 
 
-def _clamp01(value: float) -> float:
-    return 0.0 if value < 0.0 else 1.0 if value > 1.0 else value
-
-
 def field_confidence(
     agreement: float,
     mean_confidence: float,
@@ -122,9 +119,7 @@ def field_confidence(
     The three weights follow that order; results clamp into [0, 1].
     """
     w_agreement, w_confidence, w_rag = weights
-    return _clamp01(
-        w_agreement * agreement + w_confidence * mean_confidence + w_rag * rag_aligned
-    )
+    return clamp01(w_agreement * agreement + w_confidence * mean_confidence + w_rag * rag_aligned)
 
 
 @dataclass(frozen=True)

@@ -261,18 +261,21 @@ class TestExtract:
             _extract_args(corpus)[:2] + [str(bad)] + _extract_args(corpus)[3:]
         )
         assert outcome.exit_code == EXIT_USAGE
-        assert "id and text" in outcome.stderr
+        assert "input item 0: id is missing" in outcome.stderr
 
     @pytest.mark.parametrize(
         "item, message",
         [({"id": "d001", "text": "M4 washer"}, "repeats description id 'd001'"),
-         ({"id": "x1", "text": None}, "id and text"),
+         ({"id": "x1", "text": None}, "input item 24: text must be a string, got None"),
          ({"id": None, "text": "M4 washer"}, "item 24: id must be a string"),
          ({"id": {"a": 1}, "text": "M4 washer"}, "item 24: id must be a string"),
          ({"id": "x1", "text": "M4 washer", "category": 5}, "category must be a string or null"),
-         ({"id": "x1", "text": "M4 washer \ud800"}, "input item 24: text cannot be encoded")],
+         ({"id": "x1", "text": "M4 washer \ud800"}, "input item 24: text cannot be encoded"),
+         ({"id": "x1", "text": "M4 washer", "categroy": "fasteners"},
+          "error: input item 24: unknown input item keys: ['categroy']\n"),
+         (5, "error: input item 24: input item must be a JSON object\n")],
         ids=["duplicate_id", "null_text", "null_id", "object_id", "number_category",
-             "lone_surrogate_text"],
+             "lone_surrogate_text", "misspelled_category", "number_item"],
     )
     def test_bad_input_item_is_usage_error(self, corpus, tmp_path, item, message):
         items = json.loads(corpus.descriptions_path.read_text(encoding="utf-8"))
@@ -284,6 +287,27 @@ class TestExtract:
         assert outcome.exit_code == EXIT_USAGE
         assert message in outcome.stderr
         assert outcome.stdout == ""
+
+    @pytest.mark.parametrize(
+        "item, message",
+        [({"id": 7, "text": "M8 bolt"}, "id must be a string, got 7"),
+         ({"id": "d1", "text": 5}, "text must be a string, got 5"),
+         ({"id": "d1", "text": "M8 bolt", "category": 0},
+          "category must be a string or null, got 0")],
+        ids=["number_id", "number_text", "number_category"],
+    )
+    def test_description_built_in_python_is_refused_in_the_loaders_words(self, item, message):
+        with pytest.raises(ValueError) as built:
+            PartDescription(**item)
+        with pytest.raises(ValueError) as loaded:
+            cli._read_descriptions("-", io.StringIO(json.dumps([item])))
+        assert str(built.value) == message
+        assert str(loaded.value) == f"input item 0: {message}"
+
+    def test_empty_category_reads_as_null(self):
+        item = {"id": "d1", "text": "M8 bolt", "category": ""}
+        loaded = cli._read_descriptions("-", io.StringIO(json.dumps([item])))
+        assert loaded == [PartDescription("d1", "M8 bolt")]
 
     def test_unknown_config_key_is_usage_error(self, corpus, tmp_path):
         data = json.loads(corpus.config_path.read_text(encoding="utf-8"))
@@ -357,7 +381,7 @@ class TestExtract:
          ({"required_fields": ["part_name"], "field_kinds": {"part_name": []}},
           "unknown field kind [] for 'part_name'"),
          ({"required_fields": ["part_name", 5]},
-          "required_fields must be an array of field names")],
+          "required_fields must be an array of strings, got ['part_name', 5]")],
         ids=["number", "null", "list_kind", "number_field_name"],
     )
     def test_bad_schema_is_usage_error(self, corpus, tmp_path, document, message):
@@ -385,7 +409,7 @@ class TestExtract:
 
 # Malformed eval input -> text the error message must contain.
 _EVAL_DEFECTS = {
-    "description_not_object": "run.json: description 0",
+    "description_not_object": "run.json: description 0 must be an object, got 'd001'",
     "missing_description_id": "run.json: description 0",
     "unknown_failure_key": "run.json: description 0",
     "manifest_not_json": "manifest.json",
@@ -404,7 +428,10 @@ _EVAL_DEFECTS = {
     "object_expected_fields": "manifest entry 'd001': expected_fields",
     "object_allowed_attributes": "manifest entry 'd001': allowed_attributes",
     "non_string_system_id": "run.json: run file must be an object with a string system_id",
-    "output_not_object": "run.json: description 0",
+    "output_not_object": "run.json: description 0: output 0 must be an object, got 7",
+    "number_claim": (
+        "run.json: description 0: unreadable output (TypeError: claim 0 must be an object, got 7)"
+    ),
     "description_id_not_string": "run.json: description 0",
     "overflowing_confidence": "run.json: description 0: unreadable output",
     "string_schema_valid": "run.json: description 0: unreadable output (TypeError: schema_valid",
@@ -453,6 +480,7 @@ _OUTPUT_VALUES = {
     "issue_without_path": ((), "issues", [{"kind": "missing_field"}]),
     "issue_not_object": ((), "issues", [5]),
     "string_claims": ((), "claims", "part_name"),
+    "number_claim": ((), "claims", [7]),
 }
 
 

@@ -117,7 +117,7 @@ class TestJsonValue:
             (JsonKind.STRING_OR_INTEGER, 2.5),
             (JsonKind.BOOLEAN, "false"),
             (JsonKind.STRINGS, "ab"),
-            (JsonKind.FIELD_NAMES, ["a", 1]),
+            (JsonKind.STRINGS, ["a", 1]),
             (JsonKind.OBJECT, [1]),
             (JsonKind.ARRAY, "ab"),
             (JsonKind.ARRAY, {"a": 1}),
@@ -210,6 +210,27 @@ class TestSpecSchema:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):
             SpecSchema(required_fields=())
+
+    @pytest.mark.parametrize(
+        ("arguments", "message"),
+        [
+            ({"required_fields": "abc"}, "required_fields must be an array of strings, got 'abc'"),
+            ({"required_fields": ["a", 5]},
+             "required_fields must be an array of strings, got ['a', 5]"),
+            ({"required_fields": ["a"], "field_kinds": ["a"]},
+             "field_kinds must be an object, got ['a']"),
+        ],
+        ids=["string_required_fields", "number_field_name", "array_field_kinds"],
+    )
+    def test_built_in_python_is_refused_in_the_loaders_words(self, arguments, message):
+        for build in (lambda: SpecSchema(**arguments), lambda: SpecSchema.from_dict(arguments)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+
+    def test_containers_are_stored_as_annotated(self):
+        schema = SpecSchema(["part_name"], MappingProxyType({"weight": QUANTITY_WITH_UNIT}))
+        assert schema == SpecSchema(("part_name",), {"weight": QUANTITY_WITH_UNIT})
+        assert type(schema.required_fields) is tuple and type(schema.field_kinds) is dict
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown schema keys"):

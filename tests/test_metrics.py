@@ -194,6 +194,28 @@ class TestManifest:
         with pytest.raises(MetricError, match="detail_max must be positive, got 0"):
             ManifestEntry(frozenset({"a"}), 0, frozenset())
 
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [({"expected_fields": "abc", "detail_max": 2},
+          "expected_fields must be an array of strings, got 'abc'"),
+         ({"expected_fields": frozenset({"a"}), "detail_max": 2.5},
+          "detail_max must be an integer, got 2.5"),
+         ({"expected_fields": ["a"], "detail_max": 2, "allowed_attributes": [5]},
+          "allowed_attributes must be an array of strings, got [5]")],
+        ids=["string_expected_fields", "fractional_detail_max", "number_attribute"],
+    )
+    def test_entry_built_in_python_is_refused_in_the_loaders_words(self, arguments, message):
+        with pytest.raises(MetricError, match=f"^{re.escape(message)}$"):
+            ManifestEntry(**arguments)
+        with pytest.raises(MetricError, match=f"^manifest entry 'd1': {re.escape(message)}$"):
+            GroundTruthManifest.from_dict({"d1": arguments})
+
+    def test_entry_stores_arrays_as_frozensets(self):
+        entry = ManifestEntry(["a"], 2, ["a", "b"])
+        assert type(entry.expected_fields) is frozenset
+        assert type(entry.allowed_attributes) is frozenset
+        assert hash(entry) == hash(ManifestEntry(frozenset({"a"}), 2, frozenset({"a", "b"})))
+
     def test_smallest_detail_max_accepted(self):
         entry = GroundTruthManifest.from_dict({"d1": {"expected_fields": ["a"], "detail_max": 1}})
         assert entry.entry("d1") == ManifestEntry(frozenset({"a"}), 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import threading
@@ -24,7 +25,7 @@ from corpusgen import (
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from partspec import gateway, orchestrator
+from partspec import cli, gateway, orchestrator
 from partspec.core import (
     FAIL_AUTH,
     FAIL_EXHAUSTED,
@@ -485,9 +486,10 @@ class TestEnsembleConfig:
     @settings(max_examples=300)
     @given(data=st.data())
     def test_only_json_objects_with_known_keys_load(self, data):
-        """A config, a provider entry, a schema or an eval manifest entry that
-        is no JSON object, that holds keys its dataclass lacks, or that lacks
-        a key with no default, is refused naming exactly that."""
+        """A config, a provider entry, a schema, an eval manifest entry or an
+        input description item that is no JSON object, that holds keys its
+        dataclass lacks, or that lacks a key with no default, is refused
+        naming exactly that."""
         document = config_document()
         valid = {
             "config": (document, EnsembleConfig, ("roster", "synthesis_model")),
@@ -498,6 +500,7 @@ class TestEnsembleConfig:
                 ManifestEntry,
                 ("expected_fields", "detail_max"),
             ),
+            "input item": ({"id": "d1", "text": "M8 bolt"}, PartDescription, ("id", "text")),
         }
         what = data.draw(st.sampled_from(sorted(valid)))
         entry, cls, required = valid[what]
@@ -521,12 +524,16 @@ class TestEnsembleConfig:
                 EnsembleConfig.from_dict({**document, "roster": [value, *document["roster"][1:]]})
             elif what == "manifest entry":
                 GroundTruthManifest.from_dict({"d1": value})
+            elif what == "input item":
+                cli._read_descriptions("-", io.StringIO(json.dumps([value])))
             else:
                 EnsembleConfig.from_dict(value)
         if what == "manifest entry":
             message = f"manifest entry 'd1': {message}"
+        elif what == "input item":
+            message = f"input item 0: {message}"
         assert str(refused.value) == message
-        errors = {"schema": ValueError, "manifest entry": MetricError}
+        errors = {"schema": ValueError, "manifest entry": MetricError, "input item": ValueError}
         assert type(refused.value) is errors.get(what, ConfigError)
 
     def test_extraction_providers_in_roster_order(self):

@@ -566,6 +566,7 @@ class TestPersistence:
         [
             "manifest_not_object",
             "records_not_array",
+            "record_not_object",
             "record_without_id",
             "embedder_dimension_mismatch",
             "non_finite_vector",
@@ -583,6 +584,8 @@ class TestPersistence:
             manifest = [manifest]
         elif defect == "records_not_array":
             manifest["records"] = {r["record_id"]: r for r in manifest["records"]}
+        elif defect == "record_not_object":
+            manifest["records"][1] = 5
         elif defect == "record_without_id":
             del manifest["records"][0]["record_id"]
         elif defect == "embedder_dimension_mismatch":
